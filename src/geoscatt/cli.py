@@ -219,6 +219,15 @@ def train_val_indices(labels: list[int], splits: list[str], val_fraction: float,
     return [i for i in train_rows if i not in val_set], sorted(val_set), test_rows
 
 
+def read_features(path: Path, n_rows: int) -> np.ndarray:
+    """Read a feature matrix whose rows must follow the manifest order."""
+    X = read_fmat(path)
+    if X.shape[0] != n_rows:
+        raise ConfigError(f"{path} has {X.shape[0]} rows, manifest "
+                          f"has {n_rows}")
+    return X
+
+
 def write_features(wd: Path, stem: str, matrix: np.ndarray,
                    labels: list[str], fmt: str) -> str:
     if fmt == "csv":
@@ -271,10 +280,7 @@ def cmd_featurize_gst(args, cfg: PipelineConfig) -> None:
     wd = workdir_of(args)
     _, _, _, graphs = load_graphs(wd, args.manifest)
     gcfg = GGSConfig(diffusion_scales=cfg.gst.diffusion_scales,
-                     diffusion_depth=cfg.gst.diffusion_depth,
-                     hann_scales=cfg.gst.hann_scales,
-                     hann_r=cfg.gst.hann_r,
-                     hann_variant=cfg.gst.hann_variant)
+                     diffusion_depth=cfg.gst.diffusion_depth)
     vectors = parallel_map(lambda g: ggs_features(g, gcfg), graphs,
                            cfg.effective_threads())
     matrix = np.array([v.values for v in vectors])
@@ -331,7 +337,7 @@ def cmd_train_gin(args, cfg: PipelineConfig) -> None:
                                   cfg.run.seed)
     tcfg = TrainConfig(lr=cfg.gin.lr, epochs=cfg.gin.epochs,
                        seed=cfg.run.seed, weight_decay=cfg.gin.weight_decay,
-                       patience=cfg.gin.patience)
+                       patience=cfg.gin.patience, readout=cfg.gin.readout)
     history: list = []
     params = train_gin([graphs[i] for i in tr], [labels[i] for i in tr],
                        [graphs[i] for i in va], [labels[i] for i in va],
@@ -368,10 +374,7 @@ def cmd_build_metagraph(args, cfg: PipelineConfig) -> None:
     wd = workdir_of(args)
     keys, labels, splits, _ = load_graphs(wd, args.manifest)
     feat_path = Path(args.features) if args.features else wd / "ggs.fmat"
-    S = read_fmat(feat_path)
-    if S.shape[0] != len(keys):
-        raise ConfigError(f"{feat_path} has {S.shape[0]} rows, manifest "
-                          f"has {len(keys)}")
+    S = read_features(feat_path, len(keys))
     mg = build_metagraph(S)
     if args.top_k:
         mg = sparsify_topk(mg, args.top_k)
@@ -440,7 +443,7 @@ def cmd_train_sage(args, cfg: PipelineConfig) -> None:
 def cmd_fit_head(args, cfg: PipelineConfig) -> None:
     wd = workdir_of(args)
     _, labels, splits, _ = load_graphs(wd, args.manifest)
-    X = read_fmat(Path(args.features))
+    X = read_features(Path(args.features), len(labels))
     train_rows = [i for i, s in enumerate(splits) if s == "train"]
     model = fit_logreg(X[train_rows], np.array([labels[i] for i in train_rows]),
                        l2=cfg.run.l2)
@@ -473,7 +476,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> None:
     else:
         if not args.features or not args.head:
             raise ConfigError("evaluate needs --features and --head, or --sage")
-        X = read_fmat(Path(args.features))
+        X = read_features(Path(args.features), len(labels))
         head = json.loads(Path(args.head).read_text(encoding="utf-8"))
         model = LogRegModel(weights=np.array(head["weights"]),
                             bias=head["bias"], l2=head["l2"])
@@ -496,7 +499,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> None:
 def cmd_cv(args, cfg: PipelineConfig) -> None:
     wd = workdir_of(args)
     _, labels, splits, _ = load_graphs(wd, args.manifest)
-    X = read_fmat(Path(args.features))
+    X = read_features(Path(args.features), len(labels))
     if args.split == "train":
         rows = [i for i, s in enumerate(splits) if s == "train"]
     else:

@@ -18,9 +18,6 @@ from .errors import ConfigError
 class GstSection:
     diffusion_scales: int = 4
     diffusion_depth: int = 3
-    hann_scales: int = 4
-    hann_r: float = 3.0
-    hann_variant: str = "paper-exact"
 
 
 @dataclass

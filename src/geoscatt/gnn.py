@@ -246,6 +246,7 @@ class TrainConfig:
     adam_eps: float = 1e-8
     weight_decay: float = 0.0
     patience: int = 50
+    readout: str = "sum"         # sum | mean, as in GINParams
 
     def __post_init__(self):
         if self.lr < 0:
@@ -271,7 +272,7 @@ def train_gin(train: list[MolecularGraph], train_labels: list[int],
     if len(set(train_labels)) < 2:
         raise DegenerateLabels("training labels are single-class")
 
-    params = init_gin(cfg.seed)
+    params = init_gin(cfg.seed, readout=cfg.readout)
     tensors = params.tensors()
     opt = Adam(tensors, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
                eps=cfg.adam_eps, weight_decay=cfg.weight_decay)

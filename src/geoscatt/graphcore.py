@@ -37,17 +37,30 @@ def build_matrices(g: MolecularGraph) -> GraphMatrices:
     D = np.diag(deg)
     L = D - W
 
-    with np.errstate(divide="ignore"):
-        inv = np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
-        inv_sqrt = np.sqrt(inv)
+    inv_sqrt = np.sqrt(_inverse_degree(deg))
     L_norm = np.diag((deg > 0).astype(float)) - (inv_sqrt[:, None] * W * inv_sqrt[None, :])
-
-    T = 0.5 * (np.eye(len(deg)) + inv[:, None] * W)
-    T[deg == 0] = 0.0
-    T[deg == 0, deg == 0] = 1.0
+    T = walk_operator(W)
 
     V, lam = eig_sym(L_norm)
     return GraphMatrices(W=W, D=D, L=L, L_norm=L_norm, T=T, eigvecs=V, eigvals=lam)
+
+
+def walk_operator(W: np.ndarray) -> np.ndarray:
+    """Lazy random-walk operator T = (I + D^-1 W) / 2 of an adjacency matrix.
+
+    A zero-degree node keeps its walker in place: its row of T is the
+    identity row.
+    """
+    deg = W.sum(axis=1)
+    T = 0.5 * (np.eye(len(deg)) + _inverse_degree(deg)[:, None] * W)
+    T[deg == 0] = 0.0
+    T[deg == 0, deg == 0] = 1.0
+    return T
+
+
+def _inverse_degree(deg: np.ndarray) -> np.ndarray:
+    """1/deg with the 0 -> 0 pseudo-inverse convention."""
+    return np.where(deg > 0, 1.0 / np.where(deg > 0, deg, 1.0), 0.0)
 
 
 def eig_sym(M: np.ndarray, symmetry_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:

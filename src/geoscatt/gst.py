@@ -1,21 +1,28 @@
 """Geometric graph scattering: diffusion and tight Hann wavelet cascades.
 
-The per-molecule feature vector concatenates the zeroth-order block of the
-Hann cascade (one value per node-feature column) with the order-1..3
-diffusion-scattering coefficients over unrestricted wavelet paths. With the
-default configuration (4 scales each, depth 3, 7 node features) this gives
+The per-molecule feature vector concatenates the zeroth-order block (one
+value per node-feature column) with the order-1..3 diffusion-scattering
+coefficients over unrestricted wavelet paths. With the default
+configuration (4 scales, depth 3, 7 node features) this gives
 7 + 7*(4 + 16 + 64) = 595 values.
+
+The zeroth-order block is the column-wise mean of the node features, which
+no filter touches, so the vector needs only the lazy walk operator and no
+Laplacian eigensystem. It keeps its ``hann.m0.f*`` labels so that existing
+artifacts stay readable. The Hann bank (``hann_kernel``, ``hann_filters``,
+``frame_spectrum``) remains available as a library.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidScaleParams
-from .graphcore import GraphMatrices, build_matrices
+from .graphcore import walk_operator
 from .molgraph import MolecularGraph
 
 HANN_VARIANTS = ("paper-exact", "standard-hann")
@@ -37,10 +44,6 @@ class FilterBank:
 class GGSConfig:
     diffusion_scales: int = 4
     diffusion_depth: int = 3
-    hann_scales: int = 4
-    hann_r: float = 3.0
-    hann_variant: str = "paper-exact"
-    hann_depth: int = 1
     n_features: int = 7
 
     def total_dim(self) -> int:
@@ -52,7 +55,7 @@ class GGSConfig:
 @dataclass
 class GGSVector:
     values: np.ndarray
-    labels: list[str]
+    labels: tuple[str, ...]
 
     def __post_init__(self):
         if len(self.values) != len(self.labels):
@@ -134,6 +137,10 @@ def scatter_graph(X: np.ndarray, bank: FilterBank, depth: int,
     column-wise mean of X under the empty path, and each order-m entry the
     column means of |H_{j_m}( ... |H_{j_1} X| ... )| for paths enumerated
     lexicographically with unrestricted scale repetition.
+
+    Each order is one stacked product of all filters with all signals of
+    the previous order; expanding parents in order with the scale index
+    innermost keeps the paths lexicographic.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
@@ -144,51 +151,42 @@ def scatter_graph(X: np.ndarray, bank: FilterBank, depth: int,
     if depth < 0:
         raise DimensionMismatch(f"depth must be >= 0, got {depth}")
 
+    H = np.stack(bank.filters)                        # (J, n, n)
     out: list[tuple[tuple[int, ...], np.ndarray]] = [((), X.mean(axis=0))]
-    level = {(): X}
+    paths: list[tuple[int, ...]] = [()]
+    level = X[None]                                   # (P, n, F)
     for _ in range(depth):
-        next_level = {}
-        for path, signal in level.items():
-            for j, H in enumerate(bank.filters):
-                next_level[path + (j,)] = np.abs(H @ signal)
-        level = dict(sorted(next_level.items()))
-        for path, signal in level.items():
-            out.append((path, signal.mean(axis=0)))
+        level = np.abs(H[None] @ level[:, None]).reshape(-1, *X.shape)
+        paths = [path + (j,) for path in paths for j in range(len(H))]
+        out.extend(zip(paths, level.mean(axis=1)))
     return out
 
 
-def ggs_features(g: MolecularGraph, cfg: GGSConfig | None = None,
-                 matrices: GraphMatrices | None = None) -> GGSVector:
+@functools.lru_cache(maxsize=None)
+def ggs_labels(scales: int, depth: int, n_features: int) -> tuple[str, ...]:
+    """Column labels of the GGS vector, in the order ggs_features fills it."""
+    cols = range(n_features)
+    labels = [f"hann.m0.f{col}" for col in cols]
+    for m in range(1, depth + 1):
+        for path in itertools.product(range(scales), repeat=m):
+            tag = "-".join(str(j) for j in path)
+            labels += [f"diff.m{m}.p{tag}.f{col}" for col in cols]
+    return tuple(labels)
+
+
+def ggs_features(g: MolecularGraph, cfg: GGSConfig | None = None) -> GGSVector:
     """Full geometric-scattering vector for one preprocessed molecule."""
     cfg = cfg if cfg is not None else GGSConfig()
-    gm = matrices if matrices is not None else build_matrices(g)
     X = g.node_features
     if X.shape[1] != cfg.n_features:
         raise DimensionMismatch(
             f"expected {cfg.n_features} node features, got {X.shape[1]}")
 
-    hann_bank = hann_filters(gm.eigvecs, gm.eigvals, cfg.hann_scales,
-                             cfg.hann_r, cfg.hann_variant)
-    hann_coeffs = scatter_graph(X, hann_bank, cfg.hann_depth)
-    diff_bank = diffusion_filters(gm.T, cfg.diffusion_scales)
-    diff_coeffs = scatter_graph(X, diff_bank, cfg.diffusion_depth)
-
-    values, labels = [], []
-    for path, coeff in hann_coeffs:
-        if path:
-            continue  # only the zeroth-order block feeds the feature vector
-        for col in range(cfg.n_features):
-            values.append(coeff[col])
-            labels.append(f"hann.m0.f{col}")
-    for path, coeff in diff_coeffs:
-        if not path:
-            continue  # order 0 already covered by the hann block
-        tag = "-".join(str(j) for j in path)
-        for col in range(cfg.n_features):
-            values.append(coeff[col])
-            labels.append(f"diff.m{len(path)}.p{tag}.f{col}")
-
-    vec = GGSVector(values=np.array(values), labels=labels)
+    bank = diffusion_filters(walk_operator(g.adjacency()), cfg.diffusion_scales)
+    coeffs = scatter_graph(X, bank, cfg.diffusion_depth)
+    vec = GGSVector(values=np.concatenate([coeff for _, coeff in coeffs]),
+                    labels=ggs_labels(cfg.diffusion_scales, cfg.diffusion_depth,
+                                      cfg.n_features))
     if len(vec.values) != cfg.total_dim():
         raise DimensionMismatch(
             f"assembled {len(vec.values)} values, expected {cfg.total_dim()}")
@@ -196,8 +194,8 @@ def ggs_features(g: MolecularGraph, cfg: GGSConfig | None = None,
 
 
 def ggs_matrix(graphs: list[MolecularGraph], cfg: GGSConfig | None = None,
-               mapper=map) -> tuple[np.ndarray, list[str]]:
+               mapper=map) -> tuple[np.ndarray, tuple[str, ...]]:
     """Stack GGS vectors for many molecules; rows follow input order."""
     vectors = list(mapper(lambda g: ggs_features(g, cfg), graphs))
-    labels = vectors[0].labels if vectors else []
+    labels = vectors[0].labels if vectors else ()
     return np.array([v.values for v in vectors]), labels

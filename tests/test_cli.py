@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 from corpus import generate, write_csv
 from geoscatt.cli import main
-from geoscatt.fileio import read_fmat
+from geoscatt.fileio import read_fmat, write_fmat
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +218,54 @@ def test_build_metagraph_topk(tmp_path):
     assert np.max(np.abs(W - W.T)) == 0.0
     assert ((W > 0).sum(axis=1) <= 19).all()
     assert ((W == 0).sum() > 20 * 2)  # actually sparsified
+
+
+@pytest.mark.parametrize("command", ["fit-head", "evaluate", "cv"])
+def test_feature_rows_checked_against_manifest(tmp_path, dataset_csv, capsys,
+                                               command):
+    wd = tmp_path / "wd"
+    assert main(["ingest", "--input", str(dataset_csv), "--workdir", str(wd),
+                 "--seed", "7"]) == 0
+    short = tmp_path / "short.fmat"
+    write_fmat(short, np.zeros((10, 5)))
+    head = tmp_path / "head.json"
+    head.write_text(json.dumps({"weights": [0.0] * 5, "bias": 0.0,
+                                "l2": 1e-3, "features": short.name}))
+    argv = [command, "--workdir", str(wd), "--seed", "7",
+            "--features", str(short)]
+    if command == "evaluate":
+        argv += ["--head", str(head)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "10 rows, manifest has 60" in err
+
+
+def test_train_gin_honours_readout(tmp_path):
+    data = tmp_path / "mols.csv"
+    write_csv(data, generate(60, seed=108))
+    wd = tmp_path / "wd"
+    assert main(["ingest", "--input", str(data), "--workdir", str(wd),
+                 "--seed", "3"]) == 0
+    digests = {}
+    for readout in ("default", "sum", "mean"):
+        argv = ["train-gin", "--workdir", str(wd), "--seed", "3",
+                "--epochs", "3"]
+        if readout != "default":
+            config = tmp_path / f"{readout}.ini"
+            config.write_text(f"[gin]\nreadout = {readout}\n")
+            argv += ["--config", str(config)]
+        assert main(argv) == 0
+        digests[readout] = digest(wd / "gin.gprm")
+    assert digests["default"] == digests["sum"]
+    assert digests["mean"] != digests["sum"]
+
+
+def test_removed_hann_keys_are_unknown(tmp_path, dataset_csv, capsys):
+    config = tmp_path / "cfg.ini"
+    config.write_text("[gst]\nhann_variant = standard-hann\n")
+    rc = main(["featurize-gst", "--workdir", str(tmp_path / "wd"),
+               "--seed", "1", "--config", str(config)])
+    assert rc == 2
+    assert "unknown key 'hann_variant'" in capsys.readouterr().err

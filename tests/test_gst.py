@@ -1,10 +1,14 @@
+import importlib
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from corpus import generate
+from geoscatt import graphcore
 from geoscatt.errors import DimensionMismatch, InvalidScaleParams
-from geoscatt.graphcore import build_matrices
+from geoscatt.graphcore import build_matrices, walk_operator
 from geoscatt.gst import (
     GGSConfig,
     diffusion_filters,
@@ -169,3 +173,54 @@ def test_ggs_deterministic():
     a = ggs_features(g).values
     b = ggs_features(g).values
     assert np.array_equal(a, b)
+
+
+def test_ggs_needs_no_eigensolve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ggs_features ran an eigensolve")
+
+    monkeypatch.setattr(graphcore, "eig_sym", refuse)
+    smiles = [text for text, _ in generate(60, seed=108)] + ["[CH4]"]
+    for text in smiles:
+        vec = ggs_features(preprocess(parse_smiles(text)))
+        assert len(vec.values) == 595
+        assert np.all(np.isfinite(vec.values))
+
+
+def _per_path_cascade(X, filters, depth):
+    """Reference cascade: every path filtered on its own, in path order."""
+    out = [((), X.mean(axis=0))]
+    for m in range(1, depth + 1):
+        for path in itertools.product(range(len(filters)), repeat=m):
+            signal = X
+            for j in path:
+                signal = np.abs(filters[j] @ signal)
+            out.append((path, signal.mean(axis=0)))
+    return out
+
+
+def test_batched_cascade_equals_per_path_loop():
+    rng = np.random.default_rng(21)
+    graphs = [preprocess(parse_smiles(text))
+              for text in ("[CH4]", "CC(=O)Oc1ccccc1C(=O)O")]
+    graphs += [random_connected_graph(rng, n) for n in (2, 9, 30)]
+    for g in graphs:
+        bank = diffusion_filters(walk_operator(g.adjacency()), 4)
+        X = g.node_features
+        ours = scatter_graph(X, bank, 3)
+        ref = _per_path_cascade(X, bank.filters, 3)
+        assert [path for path, _ in ours] == [path for path, _ in ref]
+        for (_, a), (_, b) in zip(ours, ref):
+            assert np.array_equal(a, b)
+
+
+def test_traced_layer_names_resolve(monkeypatch):
+    """The benchmark's traced run wraps these names; each must exist."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    tracer = importlib.import_module("tracer")
+    for mod_name, attr, _, _ in tracer.WRAPPED:
+        owner = importlib.import_module(f"geoscatt.{mod_name}")
+        for part in attr.split("."):
+            assert hasattr(owner, part), f"geoscatt.{mod_name}.{attr} is missing"
+            owner = getattr(owner, part)
+        assert callable(owner)

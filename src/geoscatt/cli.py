@@ -75,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="parallelism degree (GEOSCATT_THREADS fallback)")
         p.add_argument("--manifest", default=None,
                        help="manifest CSV (default <workdir>/manifest.csv; "
-                            "records.csv must sit beside it)")
+                            "graph stages read records.csv beside it)")
 
     p = sub.add_parser("ingest", help="parse, dedup and split a smiles CSV")
     common(p)
@@ -182,23 +182,28 @@ def write_log(wd: Path, command: str, cfg: PipelineConfig,
                                                 encoding="utf-8")
 
 
+def load_manifest(wd: Path, manifest_path=None
+                  ) -> tuple[list[str], list[int], list[str]]:
+    """Keys, labels and splits in manifest order."""
+    rows = read_manifest(manifest_path or wd / "manifest.csv")
+    return ([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+
+
 def load_graphs(wd: Path, manifest_path=None
                 ) -> tuple[list[str], list[int], list[str], list[MolecularGraph]]:
     """Rebuild graphs from records.csv in manifest order."""
-    manifest_path = Path(manifest_path) if manifest_path else wd / "manifest.csv"
-    manifest = read_manifest(manifest_path)
+    keys, labels, splits = load_manifest(wd, manifest_path)
+    records = Path(manifest_path or wd / "manifest.csv").parent / "records.csv"
     smiles_of = {}
-    with open(manifest_path.parent / "records.csv", newline="",
-              encoding="utf-8") as fh:
+    with open(records, newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
             smiles_of[row["canonical_key"]] = row["smiles"]
-    keys, labels, splits, graphs = [], [], [], []
-    for key, label, split in manifest:
+    graphs = []
+    for key, label in zip(keys, labels):
+        if key not in smiles_of:
+            raise ConfigError(f"manifest key {key} is missing from {records}")
         graph = preprocess(parse_smiles(smiles_of[key]))
         graph.label = label
-        keys.append(key)
-        labels.append(label)
-        splits.append(split)
         graphs.append(graph)
     return keys, labels, splits, graphs
 
@@ -372,7 +377,7 @@ def cmd_export_embeddings(args, cfg: PipelineConfig) -> None:
 
 def cmd_build_metagraph(args, cfg: PipelineConfig) -> None:
     wd = workdir_of(args)
-    keys, labels, splits, _ = load_graphs(wd, args.manifest)
+    keys, labels, splits = load_manifest(wd, args.manifest)
     feat_path = Path(args.features) if args.features else wd / "ggs.fmat"
     S = read_features(feat_path, len(keys))
     mg = build_metagraph(S)
@@ -442,7 +447,7 @@ def cmd_train_sage(args, cfg: PipelineConfig) -> None:
 
 def cmd_fit_head(args, cfg: PipelineConfig) -> None:
     wd = workdir_of(args)
-    _, labels, splits, _ = load_graphs(wd, args.manifest)
+    _, labels, splits = load_manifest(wd, args.manifest)
     X = read_features(Path(args.features), len(labels))
     train_rows = [i for i, s in enumerate(splits) if s == "train"]
     model = fit_logreg(X[train_rows], np.array([labels[i] for i in train_rows]),
@@ -460,7 +465,7 @@ def cmd_fit_head(args, cfg: PipelineConfig) -> None:
 
 def cmd_evaluate(args, cfg: PipelineConfig) -> None:
     wd = workdir_of(args)
-    _, labels, splits, _ = load_graphs(wd, args.manifest)
+    _, labels, splits = load_manifest(wd, args.manifest)
     test_rows = [i for i, s in enumerate(splits) if s == "test"]
     y = np.array([labels[i] for i in test_rows])
 
@@ -478,6 +483,10 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> None:
             raise ConfigError("evaluate needs --features and --head, or --sage")
         X = read_features(Path(args.features), len(labels))
         head = json.loads(Path(args.head).read_text(encoding="utf-8"))
+        if len(head["weights"]) != X.shape[1]:
+            raise ConfigError(
+                f"{args.head} has {len(head['weights'])} weights, "
+                f"{args.features} has {X.shape[1]} columns")
         model = LogRegModel(weights=np.array(head["weights"]),
                             bias=head["bias"], l2=head["l2"])
         scores = model.predict_proba(X[test_rows])
@@ -498,7 +507,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> None:
 
 def cmd_cv(args, cfg: PipelineConfig) -> None:
     wd = workdir_of(args)
-    _, labels, splits, _ = load_graphs(wd, args.manifest)
+    _, labels, splits = load_manifest(wd, args.manifest)
     X = read_features(Path(args.features), len(labels))
     if args.split == "train":
         rows = [i for i, s in enumerate(splits) if s == "train"]

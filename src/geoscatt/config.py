@@ -71,6 +71,9 @@ class PipelineConfig:
             raise ConfigError("a seed is mandatory: pass --seed or set [run] seed")
         if not 0 < self.run.test_fraction < 1:
             raise ConfigError(f"test_fraction {self.run.test_fraction} not in (0,1)")
+        if self.gin.readout not in ("sum", "mean"):
+            raise ConfigError(f"[gin] readout {self.gin.readout!r} is not "
+                              f"'sum' or 'mean'")
 
     def effective_threads(self) -> int:
         if self.run.threads and self.run.threads > 0:

@@ -1,12 +1,12 @@
 """Graph Isomorphism Network for 128-dim molecule embeddings.
 
 Fixed architecture: three message-passing layers, each updating node states
-as MLP((1 + eps) * h_v + sum of neighbor states) with a two-affine MLP and
-ReLU between (7->64->64, then 64->64->64 twice), sum readout over nodes,
-two post-pooling affine maps 64->128->128 with ReLU between, and a 128->2
-classifier head. All gradients are hand-derived; ``grad_check`` verifies
-them against central finite differences, layer-staged so a full sweep over
-every parameter stays fast.
+as MLP(h_v + sum of neighbor states) (GIN-0) with a two-affine MLP and
+ReLU between (7->64->64, then 64->64->64 twice), sum or mean readout over
+nodes, two post-pooling affine maps 64->128->128 with ReLU between, and a
+128->2 classifier head. All gradients are hand-derived; ``grad_check``
+verifies them against central finite differences, perturbing a chunk of
+entries per batched forward pass.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DegenerateLabels, ShapeMismatch
 from .fileio import read_tensors, write_tensors
 from .molgraph import MolecularGraph
-from .optim import Adam
+from .optim import Adam, check_gradients
 
 GIN_LAYER_DIMS = ((7, 64, 64), (64, 64, 64), (64, 64, 64))
 POOL_DIMS = (64, 128, 128)
@@ -28,7 +28,7 @@ EMBED_DIM = POOL_DIMS[-1]
 # tensor order in GINParams.tensors() and the GPRM file:
 #   per layer k: W1_k, b1_k, W2_k, b2_k  (k = 1..3)
 #   then P1, c1, P2, c2, then head C, d
-_STAGE_OF_TENSOR = [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4]
+N_TENSORS = 18
 
 
 @dataclass
@@ -36,7 +36,6 @@ class GINParams:
     layers: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     pool_proj: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     head: tuple[np.ndarray, np.ndarray]
-    eps: tuple[float, ...] = (0.0, 0.0, 0.0)
     readout: str = "sum"  # sum | mean
 
     def tensors(self) -> list[np.ndarray]:
@@ -49,14 +48,14 @@ class GINParams:
 
     def copy(self) -> "GINParams":
         ts = [t.copy() for t in self.tensors()]
-        return _params_from_tensors(ts, self.eps, self.readout)
+        return _params_from_tensors(ts, self.readout)
 
     def save(self, path) -> None:
         write_tensors(path, self.tensors())
 
     @classmethod
-    def load(cls, path, eps=(0.0, 0.0, 0.0), readout="sum") -> "GINParams":
-        return _params_from_tensors(read_tensors(path), eps, readout)
+    def load(cls, path, readout="sum") -> "GINParams":
+        return _params_from_tensors(read_tensors(path), readout)
 
 
 def init_gin(seed: int, scale: float = 0.05, readout: str = "sum") -> GINParams:
@@ -84,12 +83,12 @@ def init_gin(seed: int, scale: float = 0.05, readout: str = "sum") -> GINParams:
                      head=(head_w, head_b), readout=readout)
 
 
-def _params_from_tensors(ts, eps, readout) -> GINParams:
-    if len(ts) != len(_STAGE_OF_TENSOR):
-        raise ShapeMismatch(f"expected {len(_STAGE_OF_TENSOR)} tensors, got {len(ts)}")
+def _params_from_tensors(ts, readout) -> GINParams:
+    if len(ts) != N_TENSORS:
+        raise ShapeMismatch(f"expected {N_TENSORS} tensors, got {len(ts)}")
     layers = [tuple(ts[4 * k:4 * k + 4]) for k in range(3)]
     return GINParams(layers=layers, pool_proj=tuple(ts[12:16]),
-                     head=tuple(ts[16:18]), eps=eps, readout=readout)
+                     head=tuple(ts[16:18]), readout=readout)
 
 
 @dataclass
@@ -102,53 +101,32 @@ class _Forward:
     logits: np.ndarray
 
 
-def _run_layers(A, p: GINParams, start: int, states: list[np.ndarray],
-                relu_inputs: list[np.ndarray]) -> None:
-    h = states[start]
-    for k in range(start, 3):
-        w1, b1, w2, b2 = p.layers[k]
-        agg = (1.0 + p.eps[k]) * h + A @ h
-        z1 = agg @ w1 + b1
-        relu_inputs[k] = z1
-        h = np.maximum(z1, 0.0) @ w2 + b2
-        states[k + 1] = h
-
-
-def _forward(g: MolecularGraph, p: GINParams, from_stage: int = 0,
-             cache: _Forward | None = None) -> _Forward:
-    """Forward pass, optionally restarted from a cached stage.
-
-    Stages: 0-2 the three GIN layers, 3 the post-pooling projections,
-    4 the classifier head.
-    """
+def _forward(g: MolecularGraph, p: GINParams) -> _Forward:
+    """Forward pass of one molecule. Reductions run over the node axis
+    counted from the end, so a tensor with leading batch axes evaluates a
+    stack of parameter sets at once."""
     if g.node_features.shape[1] != GIN_LAYER_DIMS[0][0]:
         raise ShapeMismatch(
             f"expected {GIN_LAYER_DIMS[0][0]} node features, "
             f"got {g.node_features.shape[1]}")
     A = g.adjacency()
 
-    if cache is None or from_stage == 0:
-        states = [g.node_features] + [None] * 3
-        relu_inputs = [None] * 3
-        _run_layers(A, p, 0, states, relu_inputs)
-    else:
-        states = list(cache.node_states)
-        relu_inputs = list(cache.relu_inputs)
-        if from_stage <= 2:
-            _run_layers(A, p, from_stage, states, relu_inputs)
+    h = g.node_features
+    states = [h]
+    relu_inputs = []
+    for w1, b1, w2, b2 in p.layers:
+        z1 = (h + A @ h) @ w1 + b1
+        relu_inputs.append(z1)
+        h = np.maximum(z1, 0.0) @ w2 + b2
+        states.append(h)
 
-    if from_stage <= 3 or cache is None:
-        if p.readout == "mean":
-            pooled = states[3].mean(axis=0)
-        else:
-            pooled = states[3].sum(axis=0)
-        p1, c1, p2, c2 = p.pool_proj
-        z_pool = pooled @ p1 + c1
-        embedding = np.maximum(z_pool, 0.0) @ p2 + c2
+    if p.readout == "mean":
+        pooled = h.mean(axis=-2)
     else:
-        pooled = cache.pooled
-        z_pool = cache.pool_relu_input
-        embedding = cache.embedding
+        pooled = h.sum(axis=-2)
+    p1, c1, p2, c2 = p.pool_proj
+    z_pool = pooled @ p1 + c1
+    embedding = np.maximum(z_pool, 0.0) @ p2 + c2
 
     head_w, head_b = p.head
     logits = embedding @ head_w + head_b
@@ -169,9 +147,10 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    shifted = logits - np.max(logits)
-    return float(np.log(np.sum(np.exp(shifted))) - shifted[label])
+def cross_entropy(logits: np.ndarray, label: int):
+    """Loss of one logit vector, or one loss per row of a stack of them."""
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    return np.log(np.sum(np.exp(shifted), axis=-1)) - shifted[..., label]
 
 
 def _backward(g: MolecularGraph, p: GINParams, fw: _Forward,
@@ -214,11 +193,11 @@ def _backward(g: MolecularGraph, p: GINParams, fw: _Forward,
         d_r = dh @ w2.T
         d_z1 = d_r * (z1 > 0)
         h_prev = fw.node_states[k]
-        agg = (1.0 + p.eps[k]) * h_prev + A @ h_prev
+        agg = h_prev + A @ h_prev
         d_w1 = agg.T @ d_z1
         d_b1 = d_z1.sum(axis=0)
         d_agg = d_z1 @ w1.T
-        dh = (1.0 + p.eps[k]) * d_agg + A.T @ d_agg
+        dh = d_agg + A.T @ d_agg
         layer_grads.append([d_w1, d_b1, d_w2, d_b2])
 
     grads = []
@@ -239,11 +218,7 @@ def loss_and_grads(g: MolecularGraph, p: GINParams,
 class TrainConfig:
     lr: float = 1e-3
     epochs: int = 200
-    batch_size: int = 0          # 0 = full batch; otherwise fixed-order chunks
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     weight_decay: float = 0.0
     patience: int = 50
     readout: str = "sum"         # sum | mean, as in GINParams
@@ -266,7 +241,8 @@ def dataset_loss(graphs: list[MolecularGraph], labels: list[int],
 def train_gin(train: list[MolecularGraph], train_labels: list[int],
               val: list[MolecularGraph], val_labels: list[int],
               cfg: TrainConfig, history: list | None = None) -> GINParams:
-    """Adam on mean cross-entropy; returns the best-validation checkpoint."""
+    """Full-batch Adam on mean cross-entropy; returns the best-validation
+    checkpoint."""
     if not train or not val:
         raise DegenerateLabels("both train and validation splits must be non-empty")
     if len(set(train_labels)) < 2:
@@ -274,26 +250,21 @@ def train_gin(train: list[MolecularGraph], train_labels: list[int],
 
     params = init_gin(cfg.seed, readout=cfg.readout)
     tensors = params.tensors()
-    opt = Adam(tensors, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2,
-               eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
+    opt = Adam(tensors, lr=cfg.lr, weight_decay=cfg.weight_decay)
 
-    n = len(train)
-    chunk = cfg.batch_size if 0 < cfg.batch_size < n else n
     best = params.copy()
     best_val = np.inf
     stale = 0
 
     for epoch in range(cfg.epochs):
-        for start in range(0, n, chunk):
-            batch = range(start, min(start + chunk, n))
-            grads = [np.zeros_like(t) for t in tensors]
-            for i in batch:
-                _, gs = loss_and_grads(train[i], params, train_labels[i])
-                for acc, gr in zip(grads, gs):
-                    acc += gr
-            for acc in grads:
-                acc /= len(batch)
-            opt.step(tensors, grads)
+        grads = [np.zeros_like(t) for t in tensors]
+        for g, y in zip(train, train_labels):
+            _, gs = loss_and_grads(g, params, y)
+            for acc, gr in zip(grads, gs):
+                acc += gr
+        for acc in grads:
+            acc /= len(train)
+        opt.step(tensors, grads)
 
         train_loss = dataset_loss(train, train_labels, params)
         val_loss = dataset_loss(val, val_labels, params)
@@ -322,49 +293,29 @@ def grad_check(p: GINParams, g: MolecularGraph, label: int,
                h: float = 1e-5, denom_floor: float = 1e-3) -> float:
     """Max relative error of the analytic gradient vs central differences.
 
-    Every parameter is perturbed by +-h; evaluation restarts from the
-    first network stage the parameter feeds, using cached upstream
-    activations (exact, since upstream does not depend on it). Parameters
-    whose perturbation flips a ReLU sign, or that sit within 1e-8 of a
-    kink, are excluded: the loss is not differentiable there. The
-    relative-error denominator is floored at ``denom_floor``: central
-    differences carry an absolute noise floor near eps*|loss|/h plus an
-    h^2 truncation term, so gradients below the floor are effectively
-    compared absolutely (at ~1e-9 here) rather than relatively.
+    An entry is skipped when a ReLU input at or after the stage its tensor
+    feeds (the three layers, then pooling) flips sign across +-h or lies
+    within 1e-8 of zero at +h.
     """
     base = _forward(g, p)
-    analytic = _backward(g, p, base, label)
     tensors = p.tensors()
+    base_relu = base.relu_inputs + [base.pool_relu_input]
 
-    worst = 0.0
-    for ti, tensor in enumerate(tensors):
-        stage = _STAGE_OF_TENSOR[ti]
-        flat = tensor.reshape(-1)
-        ga = analytic[ti].reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + h
-            up = _forward(g, p, from_stage=stage, cache=base)
-            flat[idx] = orig - h
-            down = _forward(g, p, from_stage=stage, cache=base)
-            flat[idx] = orig
+    def loss(ti, stack):
+        # A singleton axis per copy keeps the pooled vector a 1 x d row, so
+        # it rounds as in the unbatched pass; a per-node bias also needs a
+        # node axis.
+        node_bias = ti < 12 and stack.ndim == 2
+        ts = list(tensors)
+        ts[ti] = stack[:, None, None] if node_bias else stack[:, None]
+        fw = _forward(g, _params_from_tensors(ts, p.readout))
+        relu = (fw.relu_inputs + [fw.pool_relu_input])[ti // 4:]
+        return cross_entropy(fw.logits, label)[:, 0], [
+            np.broadcast_to(z, (len(stack), 1) + zb.shape)
+            for z, zb in zip(relu, base_relu[ti // 4:])]
 
-            if _kink_flip(up, down, stage):
-                continue
-            gf = (cross_entropy(up.logits, label)
-                  - cross_entropy(down.logits, label)) / (2.0 * h)
-            err = abs(ga[idx] - gf) / max(abs(ga[idx]), abs(gf), denom_floor)
-            worst = max(worst, err)
-    return worst
+    def kinked(zu, zd):
+        return ((zu > 0) != (zd > 0)) | (np.abs(zu) < 1e-8)
 
-
-def _kink_flip(up: _Forward, down: _Forward, stage: int) -> bool:
-    for k in range(stage, 3):
-        zu, zd = up.relu_inputs[k], down.relu_inputs[k]
-        if np.any((zu > 0) != (zd > 0)) or np.any(np.abs(zu) < 1e-8):
-            return True
-    if stage <= 3:
-        zu, zd = up.pool_relu_input, down.pool_relu_input
-        if np.any((zu > 0) != (zd > 0)) or np.any(np.abs(zu) < 1e-8):
-            return True
-    return False
+    return check_gradients(tensors, _backward(g, p, base, label), loss,
+                           kinked, h, denom_floor)

@@ -192,10 +192,3 @@ def ggs_features(g: MolecularGraph, cfg: GGSConfig | None = None) -> GGSVector:
             f"assembled {len(vec.values)} values, expected {cfg.total_dim()}")
     return vec
 
-
-def ggs_matrix(graphs: list[MolecularGraph], cfg: GGSConfig | None = None,
-               mapper=map) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Stack GGS vectors for many molecules; rows follow input order."""
-    vectors = list(mapper(lambda g: ggs_features(g, cfg), graphs))
-    labels = vectors[0].labels if vectors else ()
-    return np.array([v.values for v in vectors]), labels

@@ -269,3 +269,70 @@ def test_removed_hann_keys_are_unknown(tmp_path, dataset_csv, capsys):
                "--seed", "1", "--config", str(config)])
     assert rc == 2
     assert "unknown key 'hann_variant'" in capsys.readouterr().err
+
+
+def test_manifest_stages_parse_no_smiles(tmp_path, monkeypatch):
+    small = tmp_path / "small.csv"
+    write_csv(small, generate(20, seed=8))
+    wd = tmp_path / "wd"
+    assert main(["ingest", "--input", str(small), "--workdir", str(wd),
+                 "--seed", "5", "--test-fraction", "0.25"]) == 0
+    assert main(["featurize-gst", "--workdir", str(wd), "--seed", "5"]) == 0
+    # the manifest alone, without records.csv beside it, must be enough
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    manifest = elsewhere / "manifest.csv"
+    manifest.write_bytes((wd / "manifest.csv").read_bytes())
+
+    def refuse(text):
+        raise AssertionError(f"parsed {text}")
+
+    monkeypatch.setattr("geoscatt.cli.parse_smiles", refuse)
+    feats = str(wd / "ggs.fmat")
+    common = ["--workdir", str(wd), "--seed", "5", "--manifest", str(manifest)]
+    for argv in (["build-metagraph"],
+                 ["train-sage", "--epochs", "3"],
+                 ["fit-head", "--features", feats],
+                 ["evaluate", "--features", feats, "--head", str(wd / "head.json")],
+                 ["evaluate", "--sage"],
+                 ["cv", "--features", feats, "--k", "3"]):
+        assert main(argv + common) == 0, argv
+
+
+def test_manifest_key_missing_from_records(tmp_path, dataset_csv, capsys):
+    wd = tmp_path / "wd"
+    assert main(["ingest", "--input", str(dataset_csv), "--workdir", str(wd),
+                 "--seed", "7"]) == 0
+    records = (wd / "records.csv").read_text().splitlines()
+    (wd / "records.csv").write_text("\n".join(records[:1] + records[2:]) + "\n")
+    capsys.readouterr()
+    assert main(["featurize-gst", "--workdir", str(wd), "--seed", "7"]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert records[1].split(",")[0] in err
+
+
+def test_unknown_readout_rejected(tmp_path, capsys):
+    config = tmp_path / "cfg.ini"
+    config.write_text("[gin]\nreadout = max\n")
+    rc = main(["train-gin", "--workdir", str(tmp_path / "wd"), "--seed", "1",
+               "--config", str(config)])
+    assert rc == 2
+    assert "error[config]" in capsys.readouterr().err
+
+
+def test_evaluate_head_checked_against_features(tmp_path, dataset_csv, capsys):
+    wd = tmp_path / "wd"
+    assert main(["ingest", "--input", str(dataset_csv), "--workdir", str(wd),
+                 "--seed", "7"]) == 0
+    feats = tmp_path / "feats.fmat"
+    write_fmat(feats, np.zeros((60, 5)))
+    head = tmp_path / "head.json"
+    head.write_text(json.dumps({"weights": [0.0] * 3, "bias": 0.0,
+                                "l2": 1e-3, "features": "other.fmat"}))
+    capsys.readouterr()
+    assert main(["evaluate", "--workdir", str(wd), "--seed", "7",
+                 "--features", str(feats), "--head", str(head)]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "3 weights" in err and "5 columns" in err

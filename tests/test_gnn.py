@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geoscatt import gnn
 from geoscatt.errors import DegenerateLabels
 from geoscatt.gnn import (
     EMBED_DIM,
@@ -18,7 +19,7 @@ from geoscatt.gnn import (
 )
 from geoscatt.ingest import preprocess
 from geoscatt.molgraph import Atom, Bond, MolecularGraph, permute
-from geoscatt.optim import Adam
+from geoscatt.optim import FD_CHUNK, Adam
 from geoscatt.smiles import parse_smiles
 from util import random_permutation
 
@@ -103,10 +104,27 @@ def test_gradient_error_shrinks_with_h():
     assert errs[1e-5] < 1e-6
 
 
+def test_grad_check_rejects_a_wrong_entry(monkeypatch):
+    g = preprocess(parse_smiles("CCO"))
+    p = init_gin(100, scale=CHECK_SCALE)
+    backward = gnn._backward
+    head_w = len(p.tensors()) - 2
+    entry = FD_CHUNK + 3  # outside the first chunk of its tensor
+    assert entry < p.tensors()[head_w].size
+
+    def planted(*args):
+        grads = backward(*args)
+        grads[head_w].reshape(-1)[entry] += 1.0
+        return grads
+
+    monkeypatch.setattr(gnn, "_backward", planted)
+    assert grad_check(p, g, 0) > 1e-2
+
+
 def test_all_zero_parameters_stay_finite():
     g = preprocess(parse_smiles("CCO"))
     zeros = [np.zeros_like(t) for t in init_gin(0).tensors()]
-    p = _params_from_tensors(zeros, (0.0, 0.0, 0.0), "sum")
+    p = _params_from_tensors(zeros, "sum")
     emb, logits = gin_forward(g, p)
     assert np.all(np.isfinite(emb)) and np.all(np.isfinite(logits))
     assert np.isfinite(grad_check(p, g, 0))

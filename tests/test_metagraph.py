@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from geoscatt import metagraph
 from geoscatt.errors import DegenerateLabels, ShapeMismatch, ZeroVariance
 from geoscatt.metagraph import (
     SageConfig,
@@ -11,6 +12,7 @@ from geoscatt.metagraph import (
     train_sage,
     _neighbor_mean,
 )
+from geoscatt.optim import FD_CHUNK
 
 
 def reference_weights(S: np.ndarray) -> np.ndarray:
@@ -138,6 +140,25 @@ def test_sage_gradients_match_finite_differences():
     mask = np.array([True] * 5 + [False] * 3)
     p = init_sage(SageConfig(in_dim=6, hidden=10, embed=5, seed=3))
     assert sage_grad_check(mg, p, labels, mask) < 1e-6
+
+
+def test_grad_check_rejects_a_wrong_entry(monkeypatch):
+    rng = np.random.default_rng(9)
+    mg = build_metagraph(rng.standard_normal((8, 6)))
+    labels = rng.integers(0, 2, 8)
+    mask = np.array([True] * 5 + [False] * 3)
+    p = init_sage(SageConfig(in_dim=6, hidden=10, embed=5, seed=3))
+    backward = metagraph._sage_backward
+    entry = FD_CHUNK + 3  # outside the first chunk of w2
+    assert entry < p.w2.size
+
+    def planted(*args):
+        grads = backward(*args)
+        grads[2].reshape(-1)[entry] += 1.0
+        return grads
+
+    monkeypatch.setattr(metagraph, "_sage_backward", planted)
+    assert sage_grad_check(mg, p, labels, mask) > 1e-2
 
 
 def separable_metagraph(seed=10):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .config import PipelineConfig, load_config
-from .errors import ConfigError, GeoscattError
+from .errors import ConfigError, DimensionMismatch, GeoscattError
 from .evalhead import (LogRegModel, fit_logreg, format_report, kfold_cv,
                        metrics, write_cv_csv)
 from .fileio import read_fmat, write_feature_csv, write_fmat, write_pgm
@@ -40,7 +40,8 @@ from .metagraph import (MetaGraph, SageConfig, SageParams, build_metagraph,
                         sage_forward, sparsify_topk, train_sage)
 from .molgraph import MolecularGraph
 from .parallel import parallel_map
-from .scatter2d import chi2_select, morlet_bank, rasterize, scatter_image
+from .scatter2d import (chi2_select, morlet_bank, rasterize, scatter2d_channels,
+                        scatter_image)
 from .smiles import parse_smiles
 
 
@@ -299,25 +300,32 @@ def cmd_featurize_gst(args, cfg: PipelineConfig) -> None:
 def cmd_featurize_2d(args, cfg: PipelineConfig) -> None:
     wd = workdir_of(args)
     _, labels, splits, graphs = load_graphs(wd, args.manifest)
-    bank = morlet_bank(cfg.scatter2d.j, cfg.scatter2d.l, cfg.scatter2d.size)
-
-    def one(g):
-        return scatter_image(rasterize(g, cfg.scatter2d.size), bank, 2)
-
-    vectors = parallel_map(one, graphs, cfg.effective_threads())
-    if args.dump_images:
-        img_dir = wd / "images"
+    sc = cfg.scatter2d
+    bank = morlet_bank(sc.j, sc.l, sc.size)
+    columns = scatter2d_channels(sc.j, sc.l) * (sc.size >> sc.j) ** 2
+    if sc.k_select > columns:
+        raise DimensionMismatch(
+            f"k_select={sc.k_select} exceeds the {columns} columns of "
+            f"{sc.size} px, J={sc.j}, L={sc.l}")
+    img_dir = wd / "images" if args.dump_images else None
+    if img_dir is not None:
         img_dir.mkdir(exist_ok=True)
-        for i, g in enumerate(graphs):
-            write_pgm(img_dir / f"{i:05d}.pgm",
-                      rasterize(g, cfg.scatter2d.size).pixels)
+
+    def one(item):
+        i, g = item
+        img = rasterize(g, sc.size)
+        if img_dir is not None:
+            write_pgm(img_dir / f"{i:05d}.pgm", img.pixels)
+        return scatter_image(img, bank, 2)
+
+    vectors = parallel_map(one, enumerate(graphs), cfg.effective_threads())
     matrix = np.array([v.values for v in vectors])
     col_labels = vectors[0].labels
 
-    if cfg.scatter2d.k_select:
+    if sc.k_select:
         train_rows = [i for i, s in enumerate(splits) if s == "train"]
         y = np.array([labels[i] for i in train_rows])
-        selected = chi2_select(matrix[train_rows], y, cfg.scatter2d.k_select)
+        selected = chi2_select(matrix[train_rows], y, sc.k_select)
         matrix = matrix[:, selected]
         col_labels = [col_labels[i] for i in selected]
         with open(wd / "scat2d.selected.csv", "w", newline="",
@@ -330,8 +338,7 @@ def cmd_featurize_2d(args, cfg: PipelineConfig) -> None:
     name = write_features(wd, "scat2d", matrix, col_labels, args.format)
     write_log(wd, "featurize-2d", cfg, [
         f"molecules={matrix.shape[0]}", f"columns={matrix.shape[1]}",
-        f"image_size={cfg.scatter2d.size}",
-        f"scales={cfg.scatter2d.j}", f"orientations={cfg.scatter2d.l}"])
+        f"image_size={sc.size}", f"scales={sc.j}", f"orientations={sc.l}"])
     print(f"featurize-2d: {matrix.shape[0]} x {matrix.shape[1]} -> {name}")
 
 

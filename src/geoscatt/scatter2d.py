@@ -8,7 +8,7 @@ feature selection against the binary label.
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,12 +19,15 @@ from .errors import (
     InvalidScaleParams,
     SizeTooSmall,
 )
-from .graphcore import eig_sym
 from .molgraph import MolecularGraph
 
 ATOM_INTENSITY = {6: 0.6, 7: 0.7, 8: 0.8}
 HALOGENS = frozenset({9, 17, 35, 53})
 BOND_INTENSITY = 0.5
+# entries this close (relative to the column maximum) to the largest
+# magnitude tie for the layout sign rule, so a last-ulp difference between
+# eigensolvers cannot pick the mirror image
+SIGN_TIE_RTOL = 1e-9
 
 
 @dataclass
@@ -78,7 +81,12 @@ def rasterize(g: MolecularGraph, size: int) -> Image:
 
 
 def _layout(g: MolecularGraph, size: int) -> np.ndarray:
-    """Atom centers in pixel coordinates, fitted to the 80% center box."""
+    """Atom centers in pixel coordinates, fitted to the 80% center box.
+
+    The coordinates are Laplacian eigenvectors 1-2 (LAPACK ``eigh``), each
+    signed so that its largest-magnitude entry is positive, the lowest index
+    winning a tie within ``SIGN_TIE_RTOL``.
+    """
     n = g.n_atoms
     center = (size - 1) / 2.0
     if n == 1:
@@ -89,13 +97,22 @@ def _layout(g: MolecularGraph, size: int) -> np.ndarray:
 
     deg = g.adjacency().sum(axis=1)
     laplacian = np.diag(deg) - g.adjacency()
-    V, _ = eig_sym(laplacian)
-    coords = V[:, 1:3]
+    _, V = np.linalg.eigh(laplacian)
+    return _fit_to_box(_orient(V[:, 1:3]), size)
 
+
+def _orient(cols: np.ndarray) -> np.ndarray:
+    """Flip each column so its first near-largest-magnitude entry is positive."""
+    mag = np.abs(cols)
+    lead = np.argmax(mag >= mag.max(axis=0) * (1.0 - SIGN_TIE_RTOL), axis=0)
+    return cols * np.where(cols[lead, np.arange(cols.shape[1])] < 0, -1.0, 1.0)
+
+
+def _fit_to_box(coords: np.ndarray, size: int) -> np.ndarray:
     coords = coords - coords.mean(axis=0)
     span = np.abs(coords).max()
     scale = (0.4 * size) / max(span, 1e-9)
-    return coords * scale + center
+    return coords * scale + (size - 1) / 2.0
 
 
 def _draw_line(img: np.ndarray, x0: int, y0: int, x1: int, y1: int,
@@ -123,10 +140,14 @@ def _draw_disc(img: np.ndarray, center: np.ndarray, radius: int,
                value: float) -> None:
     size = img.shape[0]
     cx, cy = center
-    for y in range(max(0, int(cy) - radius - 1), min(size, int(cy) + radius + 2)):
-        for x in range(max(0, int(cx) - radius - 1), min(size, int(cx) + radius + 2)):
-            if (x - cx) ** 2 + (y - cy) ** 2 <= radius * radius + 0.25:
-                img[y, x] = max(img[y, x], value)
+    # bounding box clipped to the image; a negative end would wrap the slice
+    y0, y1 = max(0, int(cy) - radius - 1), min(size, max(0, int(cy) + radius + 2))
+    x0, x1 = max(0, int(cx) - radius - 1), min(size, max(0, int(cx) + radius + 2))
+    ys = np.arange(y0, y1)[:, None]
+    xs = np.arange(x0, x1)[None, :]
+    inside = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius * radius + 0.25
+    box = img[y0:y1, x0:x1]
+    box[inside] = np.maximum(box[inside], value)
 
 
 # --- Morlet filter bank -----------------------------------------------------
@@ -138,8 +159,6 @@ class MorletBank:
     size: int
     wavelets_freq: dict = field(repr=False)   # (j, l) -> complex transfer
     lowpass_freq: np.ndarray = field(repr=False)
-    params: dict = field(default_factory=dict)  # (j, l) -> theta, k, beta, sigma
-    wavelets_spatial: dict = field(default_factory=dict, repr=False)
 
 
 def morlet_bank(J: int, L: int, size: int, sigma0: float = 0.8,
@@ -157,7 +176,7 @@ def morlet_bank(J: int, L: int, size: int, sigma0: float = 0.8,
     x1, x2 = np.meshgrid(coords, coords, indexing="xy")
     rsq = x1 * x1 + x2 * x2
 
-    wavelets_freq, wavelets_spatial, params = {}, {}, {}
+    wavelets_freq = {}
     for j in range(J):
         sigma = sigma0 * 2.0 ** j
         k = k0 / 2.0 ** j
@@ -172,25 +191,19 @@ def morlet_bank(J: int, L: int, size: int, sigma0: float = 0.8,
             freq = np.fft.fft2(psi)
             # unit peak transfer keeps every convolution non-expansive, so
             # cascade energy decays with order
-            gain = np.abs(freq).max()
-            psi = psi / gain
-            wavelets_spatial[(j, l)] = psi
-            wavelets_freq[(j, l)] = freq / gain
-            params[(j, l)] = {"theta": theta, "k": k, "beta": beta,
-                              "sigma": sigma}
+            wavelets_freq[(j, l)] = freq / np.abs(freq).max()
 
     sigma_j = sigma0 * 2.0 ** J
     lowpass = np.exp(-rsq / (2.0 * sigma_j * sigma_j))
     lowpass /= lowpass.sum()
     return MorletBank(J=J, L=L, size=size, wavelets_freq=wavelets_freq,
-                      lowpass_freq=np.fft.fft2(lowpass), params=params,
-                      wavelets_spatial=wavelets_spatial)
+                      lowpass_freq=np.fft.fft2(lowpass))
 
 
 @dataclass
 class ScatterVector2D:
     values: np.ndarray
-    labels: list[str]
+    labels: tuple[str, ...]
 
 
 def scatter_image(img: Image, bank: MorletBank, order: int = 2) -> ScatterVector2D:
@@ -209,33 +222,42 @@ def scatter_image(img: Image, bank: MorletBank, order: int = 2) -> ScatterVector
     phi = bank.lowpass_freq
 
     def smooth(field_freq):
-        return np.fft.ifft2(field_freq * phi).real[::step, ::step]
-
-    values, labels = [], []
-
-    def emit(block: np.ndarray, tag: str) -> None:
-        for (r, c), v in np.ndenumerate(block):
-            values.append(v)
-            labels.append(f"{tag}.y{r}x{c}")
+        return np.fft.ifft2(field_freq * phi).real[::step, ::step].ravel()
 
     f0 = np.fft.fft2(img.pixels)
-    emit(smooth(f0), "m0")
+    blocks = [smooth(f0)]
 
     if order >= 1:
         for j1 in range(bank.J):
             for l1 in range(bank.L):
                 u1 = np.abs(np.fft.ifft2(f0 * bank.wavelets_freq[(j1, l1)]))
                 f1 = np.fft.fft2(u1)
-                emit(smooth(f1), f"m1.j{j1}.t{l1}")
+                blocks.append(smooth(f1))
                 if order < 2:
                     continue
                 for j2 in range(j1 + 1, bank.J):
                     for l2 in range(bank.L):
                         u2 = np.abs(np.fft.ifft2(f1 * bank.wavelets_freq[(j2, l2)]))
-                        emit(smooth(np.fft.fft2(u2)),
-                             f"m2.j{j1}-{j2}.t{l1}-{l2}")
+                        blocks.append(smooth(np.fft.fft2(u2)))
 
-    return ScatterVector2D(values=np.array(values), labels=labels)
+    return ScatterVector2D(
+        values=np.concatenate(blocks),
+        labels=scatter2d_labels(bank.J, bank.L, bank.size >> bank.J, order))
+
+
+@functools.lru_cache(maxsize=None)
+def scatter2d_labels(J: int, L: int, side: int, order: int) -> tuple[str, ...]:
+    """Column labels of scatter_image, in the order it fills the vector:
+    channels in cascade order, each followed by its side x side cells."""
+    tags = ["m0"]
+    for j1 in range(J if order >= 1 else 0):
+        for l1 in range(L):
+            tags.append(f"m1.j{j1}.t{l1}")
+            if order >= 2:
+                tags += [f"m2.j{j1}-{j2}.t{l1}-{l2}"
+                         for j2 in range(j1 + 1, J) for l2 in range(L)]
+    cells = [f"y{r}x{c}" for r in range(side) for c in range(side)]
+    return tuple(f"{tag}.{cell}" for tag in tags for cell in cells)
 
 
 def scatter2d_channels(J: int, L: int) -> int:

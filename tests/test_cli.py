@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from corpus import generate, write_csv
+from geoscatt import cli, graphcore
 from geoscatt.cli import main
+from geoscatt.scatter2d import rasterize
 from geoscatt.fileio import read_fmat, write_fmat
 
 
@@ -182,7 +184,45 @@ def test_threads_env_fallback(tmp_path, dataset_csv, monkeypatch):
     assert m.shape[1] == 595
 
 
-def test_featurize_csv_format_and_image_dump(tmp_path):
+def test_k_select_checked_before_rasterizing(tmp_path, monkeypatch, capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[scatter2d]\nj = 4\nl = 2\nsize = 16\n")  # 33 columns
+    small = tmp_path / "small.csv"
+    write_csv(small, generate(12, seed=6))
+    wd = tmp_path / "wd"
+    assert main(["ingest", "--input", str(small), "--workdir", str(wd),
+                 "--seed", "5"]) == 0
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("rasterize called before k_select was checked")
+
+    monkeypatch.setattr(cli, "rasterize", refuse)
+    capsys.readouterr()
+    assert main(["featurize-2d", "--workdir", str(wd), "--seed", "5",
+                 "--config", str(config), "--k-select", "40"]) == 2
+    err = capsys.readouterr().err
+    assert "error[shapes.dimension]" in err and "33 columns" in err
+
+
+def test_featurize_2d_needs_no_eigensolver(tmp_path, monkeypatch):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("2D featurization called the Jacobi solver")
+
+    monkeypatch.setattr(graphcore, "eig_sym", refuse)
+    monkeypatch.setattr(graphcore, "build_matrices", refuse)
+    config = tmp_path / "run.ini"
+    config.write_text("[scatter2d]\nj = 3\nl = 2\nsize = 16\n")
+    small = tmp_path / "small.csv"
+    write_csv(small, generate(12, seed=6))
+    wd = tmp_path / "wd"
+    assert main(["ingest", "--input", str(small), "--workdir", str(wd),
+                 "--seed", "5"]) == 0
+    assert main(["featurize-2d", "--workdir", str(wd), "--seed", "5",
+                 "--config", str(config), "--k-select", "10"]) == 0
+    assert read_fmat(wd / "scat2d.fmat").shape == (12, 10)
+
+
+def test_featurize_csv_format_and_image_dump(tmp_path, monkeypatch):
     config = tmp_path / "run.ini"
     config.write_text("[scatter2d]\nj = 3\nl = 2\nsize = 16\n")
     small = tmp_path / "small.csv"
@@ -196,13 +236,26 @@ def test_featurize_csv_format_and_image_dump(tmp_path):
     matrix, labels = read_feature_csv(wd / "ggs.csv")
     assert matrix.shape == (12, 595)
     assert labels[0] == "hann.m0.f0"
+    calls = []
+
+    def counted(g, size):
+        calls.append(g)
+        return rasterize(g, size)
+
+    monkeypatch.setattr(cli, "rasterize", counted)
     assert main(["featurize-2d", "--workdir", str(wd), "--seed", "5",
                  "--config", str(config), "--dump-images"]) == 0
+    assert len(calls) == 12  # one drawing per molecule, shared with the dump
     images = sorted((wd / "images").glob("*.pgm"))
     assert len(images) == 12
-    from geoscatt.fileio import read_pgm
+    from geoscatt.fileio import read_pgm, write_pgm
     img = read_pgm(images[0])
     assert img.shape == (16, 16)
+    _, _, _, graphs = cli.load_graphs(wd)
+    for i, (path, g) in enumerate(zip(images, graphs)):
+        want = tmp_path / f"want{i}.pgm"
+        write_pgm(want, rasterize(g, 16).pixels)
+        assert path.read_bytes() == want.read_bytes()
 
 
 def test_build_metagraph_topk(tmp_path):

@@ -53,14 +53,17 @@ def test_single_node_identity_maps_project_features():
 
 
 def test_k2_pre_mlp_aggregation_arithmetic():
-    x = np.array([1.0, 0.0, 3.0, 4.0, 0.0, 12.011, 4.0])
     g = MolecularGraph(atoms=[Atom(6), Atom(6)],
                        bonds=[Bond(0, 1, "single")]).finalize()
-    for eps in (0.0, 0.3):
-        agg = (1.0 + eps) * g.node_features + g.adjacency() @ g.node_features
-        # both nodes share features x, so the update reads (2 + eps) x
-        assert np.allclose(agg[0], (2.0 + eps) * g.node_features[0], atol=1e-12)
-        assert np.allclose(agg[0], agg[1])
+    p = init_gin(0)
+    _, _, w2, b2 = p.layers[0]
+    w1 = np.zeros(GIN_LAYER_DIMS[0][:2])
+    w1[:, :7] = np.eye(7)
+    p.layers[0] = (w1, np.zeros(GIN_LAYER_DIMS[0][1]), w2, b2)
+    # both nodes share features x, so the GIN-0 update h + A h reads 2 x
+    z1 = gnn._forward(g, p).relu_inputs[0]
+    assert np.allclose(z1[:, :7], 2.0 * g.node_features, atol=1e-12)
+    assert np.array_equal(g.node_features[0], g.node_features[1])
 
 
 def test_embedding_permutation_invariance():

@@ -13,9 +13,13 @@ from geoscatt.scatter2d import (
     rasterize,
     scatter2d_channels,
     scatter_image,
+    _draw_disc,
+    _fit_to_box,
     _layout,
+    _orient,
 )
 from geoscatt.smiles import parse_smiles
+from corpus import generate
 from util import random_permutation
 
 BANK64 = morlet_bank(5, 8, 64)
@@ -47,6 +51,55 @@ def test_benzene_layout_is_regular_hexagon():
     assert np.allclose(diag, 2 * side[0], rtol=1e-6)
 
 
+def test_layout_matches_jacobi_on_simple_spectra():
+    # eigh and Jacobi eigenvectors agree up to sign on simple eigenpairs;
+    # the shared tie rule must then pick the same sign for both
+    compared = 0
+    for smiles, _ in generate(60, seed=108):
+        g = preprocess(parse_smiles(smiles))
+        if g.n_atoms < 3:
+            continue
+        laplacian = np.diag(g.adjacency().sum(axis=1)) - g.adjacency()
+        V, lam = eig_sym(laplacian)
+        if np.min(np.diff(lam[:4])) <= 1e-6:
+            continue  # degenerate layout eigenpairs: the basis is arbitrary
+        jacobi = _fit_to_box(_orient(V[:, 1:3]), 64)
+        assert np.max(np.abs(_layout(g, 64) - jacobi)) < 1e-9, smiles
+        compared += 1
+    assert compared >= 50
+
+
+def test_orient_sign_rule_ties_within_tolerance():
+    cols = np.array([[0.5, -0.5], [-0.5 * (1 + 1e-12), 0.5], [0.1, 0.2]])
+    out = _orient(cols)
+    # a last-ulp larger entry later in the column does not win the tie
+    assert out[0, 0] == 0.5 and out[0, 1] == 0.5
+    assert np.array_equal(np.abs(out), np.abs(cols))
+
+
+def _draw_disc_loop(img, center, radius, value):
+    size = img.shape[0]
+    cx, cy = center
+    for y in range(max(0, int(cy) - radius - 1), min(size, int(cy) + radius + 2)):
+        for x in range(max(0, int(cx) - radius - 1), min(size, int(cx) + radius + 2)):
+            if (x - cx) ** 2 + (y - cy) ** 2 <= radius * radius + 0.25:
+                img[y, x] = max(img[y, x], value)
+
+
+def test_draw_disc_matches_loop():
+    rng = np.random.default_rng(41)
+    size = 32
+    for _ in range(300):
+        radius = int(rng.integers(1, 4))
+        center = rng.uniform(-radius - 6, size + radius + 6, 2)
+        value = float(rng.choice([0.6, 0.7, 0.9, 1.0]))
+        base = np.where(rng.random((size, size)) < 0.3, 0.8, 0.0)
+        want, got = base.copy(), base.copy()
+        _draw_disc_loop(want, center, radius, value)
+        _draw_disc(got, center, radius, value)
+        assert np.array_equal(got, want), (center, radius)
+
+
 def test_rasterize_size_validation():
     g = preprocess(parse_smiles("CC"))
     with pytest.raises(SizeTooSmall):
@@ -58,8 +111,9 @@ def test_rasterize_size_validation():
 def test_bank_count_and_admissibility():
     bank = morlet_bank(2, 4, 32)
     assert len(bank.wavelets_freq) == 8  # J*L wavelets + implicit lowpass
-    for psi in bank.wavelets_spatial.values():
-        assert abs(psi.sum()) / np.abs(psi).sum() <= 1e-6
+    for freq in bank.wavelets_freq.values():
+        # the DC term of a transfer is the wavelet's pixel sum; peak is one
+        assert abs(freq[0, 0]) <= 1e-6 * np.abs(freq).max()
 
 
 def test_opposite_orientation_is_conjugate():
@@ -93,6 +147,14 @@ def test_coefficient_count_64():
     assert scatter2d_channels(5, 8) == 681
     assert len(sv.values) == 681 * 4  # 2x2 cells after subsampling by 2^5
     assert len(sv.labels) == len(sv.values)
+    assert sv.labels[:6] == ("m0.y0x0", "m0.y0x1", "m0.y1x0", "m0.y1x1",
+                             "m1.j0.t0.y0x0", "m1.j0.t0.y0x1")
+    assert sv.labels[8] == "m2.j0-1.t0-0.y0x0"
+    for order in (0, 1):
+        lower = scatter_image(img, BANK64, order)
+        assert lower.labels == tuple(l for l in sv.labels
+                                     if int(l[1]) <= order)
+        assert len(lower.values) == len(lower.labels)
 
 
 def test_shift_stability():

@@ -1,10 +1,11 @@
 """Pipeline entry point: one ``geoscatt`` command with subcommands.
 
-Each subcommand reads/writes artifacts in a work directory and appends a
-deterministic run log (command, config digest, seed, version, key counts)
-so identical inputs reproduce byte-identical outputs:
+Each subcommand reads/writes artifacts in a work directory; identical
+inputs reproduce byte-identical artifacts. Each also writes a run log
+(command, config digest, seed, version, key counts, then the stage's wall
+time and the process's peak RSS):
 
-    ingest             smiles CSV -> records.csv + manifest.csv
+    ingest             smiles CSV -> records.csv + manifest.csv + skipped.csv
     featurize-gst      -> ggs.fmat (+ column labels)
     featurize-2d       -> scat2d.fmat (+ labels, optional chi2 selection)
     train-gin          -> gin.gprm + gin_curve.csv
@@ -21,7 +22,9 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import resource
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +32,8 @@ import numpy as np
 from . import __version__
 from .config import PipelineConfig, load_config
 from .errors import ConfigError, DimensionMismatch, GeoscattError
-from .evalhead import (LogRegModel, fit_logreg, format_report, kfold_cv,
-                       metrics, write_cv_csv)
+from .evalhead import (LogRegConfig, LogRegModel, fit_logreg, format_report,
+                       kfold_cv, metrics, write_cv_csv)
 from .fileio import read_fmat, write_feature_csv, write_fmat, write_pgm
 from .gnn import GINParams, TrainConfig, embed_molecules, train_gin
 from .gst import GGSConfig, ggs_features
@@ -52,6 +55,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         apply_overrides(cfg, args)
         cfg.validate()
+        args.started = time.perf_counter()
         args.handler(args, cfg)
     except GeoscattError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
@@ -174,13 +178,17 @@ def workdir_of(args) -> Path:
     return wd
 
 
-def write_log(wd: Path, command: str, cfg: PipelineConfig,
-              lines: list[str]) -> None:
-    body = [f"command={command}", f"config_digest={cfg.digest()}",
+def write_log(wd: Path, args, cfg: PipelineConfig, lines: list[str]) -> None:
+    """``logs/<command>.log``: run identity, the stage's own lines, then the
+    wall time since the handler started and this process's peak RSS."""
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    body = [f"command={args.command}", f"config_digest={cfg.digest()}",
             f"seed={cfg.run.seed}", f"version={__version__}",
-            f"numpy={np.__version__}"] + lines
-    (wd / "logs" / f"{command}.log").write_text("\n".join(body) + "\n",
-                                                encoding="utf-8")
+            f"numpy={np.__version__}"] + lines + [
+        f"wall_s={time.perf_counter() - args.started:.6f}",
+        f"peak_rss_mb={peak_mb:.1f}"]
+    (wd / "logs" / f"{args.command}.log").write_text("\n".join(body) + "\n",
+                                                     encoding="utf-8")
 
 
 def load_manifest(wd: Path, manifest_path=None
@@ -267,6 +275,10 @@ def cmd_ingest(args, cfg: PipelineConfig) -> None:
     split_of.update({r.canonical_key: "test" for r in test})
 
     write_manifest(wd / "manifest.csv", records, split_of)
+    with open(wd / "skipped.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row", "smiles", "category", "message"])
+        writer.writerows(skipped)
     with open(wd / "records.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["canonical_key", "smiles", "label"])
@@ -274,7 +286,7 @@ def cmd_ingest(args, cfg: PipelineConfig) -> None:
             writer.writerow([rec.canonical_key, rec.smiles_text, rec.label])
 
     n_pos = sum(r.label for r in records)
-    write_log(wd, "ingest", cfg, [
+    write_log(wd, args, cfg, [
         f"input={args.input}", f"rows={len(rows)}", f"parsed={len(rows) - len(skipped)}",
         f"skipped={len(skipped)}", f"records_after_dedup={len(records)}",
         f"positives={n_pos}", f"train={len(train)}", f"test={len(test)}"])
@@ -291,7 +303,7 @@ def cmd_featurize_gst(args, cfg: PipelineConfig) -> None:
                            cfg.effective_threads())
     matrix = np.array([v.values for v in vectors])
     name = write_features(wd, "ggs", matrix, vectors[0].labels, args.format)
-    write_log(wd, "featurize-gst", cfg,
+    write_log(wd, args, cfg,
               [f"molecules={matrix.shape[0]}", f"columns={matrix.shape[1]}",
                f"format={args.format}"])
     print(f"featurize-gst: {matrix.shape[0]} x {matrix.shape[1]} -> {name}")
@@ -336,7 +348,7 @@ def cmd_featurize_2d(args, cfg: PipelineConfig) -> None:
                 writer.writerow([rank, int(col)])
 
     name = write_features(wd, "scat2d", matrix, col_labels, args.format)
-    write_log(wd, "featurize-2d", cfg, [
+    write_log(wd, args, cfg, [
         f"molecules={matrix.shape[0]}", f"columns={matrix.shape[1]}",
         f"image_size={sc.size}", f"scales={sc.j}", f"orientations={sc.l}"])
     print(f"featurize-2d: {matrix.shape[0]} x {matrix.shape[1]} -> {name}")
@@ -360,7 +372,7 @@ def cmd_train_gin(args, cfg: PipelineConfig) -> None:
         writer.writerow(["epoch", "train_loss", "val_loss"])
         for row in history:
             writer.writerow([row[0], f"{row[1]:.17g}", f"{row[2]:.17g}"])
-    write_log(wd, "train-gin", cfg, [
+    write_log(wd, args, cfg, [
         f"train={len(tr)}", f"val={len(va)}", f"epochs_run={len(history)}",
         f"best_val={min(h[2] for h in history):.6g}"])
     print(f"train-gin: {len(history)} epochs -> gin.gprm")
@@ -376,7 +388,7 @@ def cmd_export_embeddings(args, cfg: PipelineConfig) -> None:
     write_fmat(wd / "gin_embeddings.fmat", emb)
     write_columns(wd / "gin_embeddings.columns.csv",
                   [f"gin.e{i}" for i in range(emb.shape[1])])
-    write_log(wd, "export-embeddings", cfg,
+    write_log(wd, args, cfg,
               [f"molecules={emb.shape[0]}", f"columns={emb.shape[1]}"])
     print(f"export-embeddings: {emb.shape[0]} x {emb.shape[1]} "
           f"-> gin_embeddings.fmat")
@@ -408,7 +420,7 @@ def cmd_build_metagraph(args, cfg: PipelineConfig) -> None:
         writer.writerow(["canonical_key", "mask", "label"])
         for i, key in enumerate(keys):
             writer.writerow([key, mask_name[i], labels[i]])
-    write_log(wd, "build-metagraph", cfg, [
+    write_log(wd, args, cfg, [
         f"nodes={mg.n}", f"sigma={mg.sigma_kernel:.12g}",
         f"train={len(tr)}", f"val={len(va)}", f"test={len(te)}"])
     print(f"build-metagraph: {mg.n} nodes, sigma={mg.sigma_kernel:.4g}")
@@ -446,7 +458,7 @@ def cmd_train_sage(args, cfg: PipelineConfig) -> None:
         writer.writerow(["epoch", "train_loss", "val_loss"])
         for row in history:
             writer.writerow([row[0], f"{row[1]:.17g}", f"{row[2]:.17g}"])
-    write_log(wd, "train-sage", cfg, [
+    write_log(wd, args, cfg, [
         f"nodes={mg.n}", f"epochs_run={len(history)}",
         f"best_val={min(h[2] for h in history):.6g}"])
     print(f"train-sage: {len(history)} epochs -> sage.gprm")
@@ -457,16 +469,18 @@ def cmd_fit_head(args, cfg: PipelineConfig) -> None:
     _, labels, splits = load_manifest(wd, args.manifest)
     X = read_features(Path(args.features), len(labels))
     train_rows = [i for i, s in enumerate(splits) if s == "train"]
+    head_cfg = LogRegConfig()
     model = fit_logreg(X[train_rows], np.array([labels[i] for i in train_rows]),
-                       l2=cfg.run.l2)
+                       l2=cfg.run.l2, cfg=head_cfg)
     payload = {"weights": [float(w) for w in model.weights],
                "bias": model.bias, "l2": model.l2,
                "features": Path(args.features).name}
     (wd / "head.json").write_text(json.dumps(payload, sort_keys=True),
                                   encoding="utf-8")
-    write_log(wd, "fit-head", cfg, [
+    write_log(wd, args, cfg, [
         f"features={args.features}", f"train_rows={len(train_rows)}",
-        f"l2={cfg.run.l2}"])
+        f"l2={cfg.run.l2}", f"newton_iters={model.newton_iters}",
+        f"grad_norm={model.grad_norm:.3g}", f"tol={head_cfg.tol:g}"])
     print(f"fit-head: {len(train_rows)} rows, {X.shape[1]} features -> head.json")
 
 
@@ -494,6 +508,10 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> None:
             raise ConfigError(
                 f"{args.head} has {len(head['weights'])} weights, "
                 f"{args.features} has {X.shape[1]} columns")
+        if head.get("features") != Path(args.features).name:
+            raise ConfigError(
+                f"{args.head} was fitted on {head.get('features')}, "
+                f"not on {args.features}")
         model = LogRegModel(weights=np.array(head["weights"]),
                             bias=head["bias"], l2=head["l2"])
         scores = model.predict_proba(X[test_rows])
@@ -505,7 +523,7 @@ def cmd_evaluate(args, cfg: PipelineConfig) -> None:
         writer = csv.writer(fh)
         writer.writerow(list(rep.FIELDS))
         writer.writerow([f"{v:.17g}" for v in rep.as_row()])
-    write_log(wd, "evaluate", cfg, [
+    write_log(wd, args, cfg, [
         f"mode={name}", f"test_rows={len(y)}",
         f"acc={rep.acc:.6g}", f"auc={rep.auc:.6g}"])
     print(f"evaluate [{name}] on {len(y)} held-out molecules")
@@ -521,13 +539,17 @@ def cmd_cv(args, cfg: PipelineConfig) -> None:
     else:
         rows = list(range(len(labels)))
     y = np.array([labels[i] for i in rows])
+    head_cfg = LogRegConfig()
     result = kfold_cv(X[rows], y, k=cfg.run.cv_folds, seed=cfg.run.seed,
-                      l2=cfg.run.l2)
+                      l2=cfg.run.l2, head_cfg=head_cfg)
     name = Path(args.features).stem
     write_cv_csv(wd / f"cv_{name}.csv", result)
-    write_log(wd, "cv", cfg, [
+    write_log(wd, args, cfg, [
         f"features={args.features}", f"rows={len(rows)}",
         f"k={cfg.run.cv_folds}",
+        f"max_newton_iters={max(m.newton_iters for m in result.models)}",
+        f"max_grad_norm={max(m.grad_norm for m in result.models):.3g}",
+        f"tol={head_cfg.tol:g}",
         f"mean_auc={result.mean['auc']:.6g}",
         f"pooled_auc={result.pooled_auc:.6g}"])
     print(f"cv [{name}]: k={cfg.run.cv_folds} on {len(rows)} rows")

@@ -166,10 +166,11 @@ def load_smiles_csv(path) -> list[tuple[str, int]]:
 
 def build_records(rows: list[tuple[str, int]], strict: bool = False,
                   metals: frozenset[int] = DEFAULT_METALS, mapper=map,
-                  ) -> tuple[list[DatasetRecord], list[tuple[int, str, str]]]:
+                  ) -> tuple[list[DatasetRecord], list[tuple[int, str, str, str]]]:
     """Parse + preprocess every row; returns (records, skipped).
 
-    ``skipped`` rows carry (row index, smiles, reason). With ``strict`` the
+    ``skipped`` rows carry (row index, smiles, error category, message),
+    the row index counting data rows from 0. With ``strict`` the
     first failure raises instead. Rows are independent, so ``mapper`` may
     be a parallel map; output order follows input order either way.
     """
@@ -187,7 +188,7 @@ def build_records(rows: list[tuple[str, int]], strict: bool = False,
         elif strict:
             raise exc
         else:
-            skipped.append((i, rows[i][0], str(exc)))
+            skipped.append((i, rows[i][0], exc.category, str(exc)))
     return records, skipped
 
 

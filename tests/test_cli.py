@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import pytest
 from corpus import generate, write_csv
 from geoscatt import cli, graphcore
 from geoscatt.cli import main
+from geoscatt.evalhead import LogRegConfig
 from geoscatt.scatter2d import rasterize
 from geoscatt.fileio import read_fmat, write_fmat
 
@@ -91,6 +93,23 @@ def test_full_pipeline_and_artifacts(workdir):
     assert curve[0] == "epoch,train_loss,val_loss"
     assert len(curve) == 9
 
+    def log_fields(command):
+        text = (workdir / "logs" / f"{command}.log").read_text()
+        return dict(line.split("=", 1) for line in text.splitlines())
+
+    for command in ("ingest", "featurize-gst", "train-gin", "export-embeddings",
+                    "build-metagraph", "train-sage", "fit-head", "evaluate",
+                    "cv"):
+        fields = log_fields(command)
+        assert float(fields["wall_s"]) > 0.0, command
+        assert float(fields["peak_rss_mb"]) > 10.0, command
+    head = log_fields("fit-head")
+    assert float(head["grad_norm"]) < float(head["tol"]) == 1e-6
+    assert 1 <= int(head["newton_iters"]) <= 100
+    cv = log_fields("cv")
+    assert float(cv["max_grad_norm"]) < float(cv["tol"]) == 1e-6
+    assert 1 <= int(cv["max_newton_iters"]) <= 100
+
 
 def test_featurize_2d_with_selection(tmp_path, dataset_csv):
     wd = tmp_path / "wd2d"
@@ -155,6 +174,38 @@ def test_nonstrict_ingest_skips_bad_rows(tmp_path, capsys):
     # CCO and OCC deduplicate by canonical key with positive preference
     records = (wd / "records.csv").read_text().strip().splitlines()
     assert len(records) == 3  # header + CC + CCO(label 1)
+
+
+def test_ingest_writes_skipped_rows(tmp_path):
+    bad = {"": "parse.empty", "C[Xx]": "parse.element", "C1CC": "parse.ring",
+           "CC(C": "parse.paren", "CC==C": "parse", "[Na+]": "ingest.empty"}
+    data = tmp_path / "mixed.csv"
+    rows = ["CC,1", "CCO,0", "CCN,1", "CCCl,0"] + [f"{smiles},1"
+                                                   for smiles in bad]
+    data.write_text("smiles,label\n" + "\n".join(rows) + "\n")
+    wd = tmp_path / "wd"
+    assert main(["ingest", "--input", str(data), "--workdir", str(wd),
+                 "--seed", "2", "--test-fraction", "0.5"]) == 0
+    with open(wd / "skipped.csv", newline="") as fh:
+        skipped = list(csv.DictReader(fh))
+    assert [(int(r["row"]), r["smiles"], r["category"]) for r in skipped] == \
+        [(i + 4, smiles, category)
+         for i, (smiles, category) in enumerate(bad.items())]
+    assert all(r["message"] for r in skipped)
+    assert "skipped=6" in (wd / "logs" / "ingest.log").read_text()
+
+
+@pytest.mark.parametrize("command", ["fit-head", "cv"])
+def test_head_without_convergence_exits_2(workdir, monkeypatch, capsys,
+                                          command):
+    monkeypatch.setattr("geoscatt.cli.LogRegConfig",
+                        lambda: LogRegConfig(max_iter=1))
+    capsys.readouterr()
+    assert main([command, "--workdir", str(workdir), "--seed", "7",
+                 "--features", str(workdir / "ggs.fmat")]) == 2
+    err = capsys.readouterr().err
+    assert "error[linalg.convergence]" in err
+    assert "after 1 Newton steps" in err
 
 
 def test_unknown_flag_is_hard_error(dataset_csv, tmp_path):
@@ -389,3 +440,22 @@ def test_evaluate_head_checked_against_features(tmp_path, dataset_csv, capsys):
     err = capsys.readouterr().err
     assert "error[config]" in err
     assert "3 weights" in err and "5 columns" in err
+
+
+def test_evaluate_head_checked_against_feature_file(tmp_path, dataset_csv,
+                                                    capsys):
+    wd = tmp_path / "wd"
+    assert main(["ingest", "--input", str(dataset_csv), "--workdir", str(wd),
+                 "--seed", "7"]) == 0
+    feats = tmp_path / "feats.fmat"
+    write_fmat(feats, np.zeros((60, 5)))
+    head = tmp_path / "head.json"
+    # the right width, but fitted on another feature file
+    head.write_text(json.dumps({"weights": [0.0] * 5, "bias": 0.0,
+                                "l2": 1e-3, "features": "other.fmat"}))
+    capsys.readouterr()
+    assert main(["evaluate", "--workdir", str(wd), "--seed", "7",
+                 "--features", str(feats), "--head", str(head)]) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err
+    assert "other.fmat" in err and str(feats) in err

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from geoscatt.errors import DegenerateLabels, DegenerateSplit, EmptyInputError
+from corpus import generate
+from geoscatt.errors import (DegenerateLabels, DegenerateSplit, EmptyInputError,
+                             NoConvergence)
 from geoscatt.evalhead import (
     LogRegConfig,
     auc_score,
@@ -11,6 +13,9 @@ from geoscatt.evalhead import (
     stratified_folds,
     write_cv_csv,
 )
+from geoscatt.gst import ggs_features
+from geoscatt.ingest import preprocess
+from geoscatt.smiles import parse_smiles
 
 
 def scores_for_counts(tp, tn, fp, fn):
@@ -159,7 +164,7 @@ def test_logreg_gradient_vanishes_at_optimum():
     y = (X @ rng.standard_normal(6) + 0.3 * rng.standard_normal(120) > 0)
     y = y.astype(int)
     l2 = 1e-2
-    model = fit_logreg(X, y, l2=l2, cfg=LogRegConfig(max_iter=5000))
+    model = fit_logreg(X, y, l2=l2)
 
     # rebuild the internal standardized objective and probe it by FD
     mean, std = X.mean(axis=0), X.std(axis=0)
@@ -181,6 +186,97 @@ def test_logreg_gradient_vanishes_at_optimum():
         assert abs(fd) < 1e-5
     fd_b = (objective(w_std, b_std + h) - objective(w_std, b_std - h)) / (2 * h)
     assert abs(fd_b) < 1e-5
+
+
+def standardized(X):
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    live = std > 0
+    Z = np.zeros_like(X)
+    Z[:, live] = (X[:, live] - mean[live]) / std[live]
+    return Z, mean, std, live
+
+
+def full_gradient(X, y, model):
+    """Gradient over (w, b) of the standardized objective at the model."""
+    Z, mean, std, live = standardized(X)
+    w = np.zeros(X.shape[1])
+    w[live] = model.weights[live] * std[live]
+    b = model.bias + float(np.sum(w[live] * mean[live] / std[live]))
+    p = 1.0 / (1.0 + np.exp(-(Z @ w + b)))
+    resid = (p - y) / len(y)
+    return np.append(Z.T @ resid + model.l2 * w, resid.sum())
+
+
+@pytest.fixture(scope="module")
+def wide_problem():
+    """GGS vectors of 100 corpus molecules: 100 rows, 595 collinear columns."""
+    rows = generate(100, seed=108)
+    X = np.array([ggs_features(preprocess(parse_smiles(s))).values
+                  for s, _ in rows])
+    return X, np.array([label for _, label in rows])
+
+
+def test_logreg_wide_problem_reaches_tolerance(wide_problem):
+    # the former gradient descent stopped at its cap here, gradient 2e-4
+    X, y = wide_problem
+    model = fit_logreg(X, y, l2=1e-3)
+    grad = full_gradient(X, y, model)
+    assert np.linalg.norm(grad) < 1e-6
+    assert model.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-6,
+                                            abs=1e-12)
+    assert model.newton_iters <= LogRegConfig().max_iter
+
+
+def dense_newton(Z, y, l2):
+    """Damped Newton on the (f+1) system, solved by np.linalg.solve."""
+    n, f = Z.shape
+    A = np.hstack([Z, np.ones((n, 1))])
+    reg = np.full(f + 1, l2)
+    reg[-1] = 0.0
+
+    def objective(theta):
+        z = A @ theta
+        return float(np.mean(np.logaddexp(0.0, z) - y * z)
+                     + 0.5 * np.sum(reg * theta * theta))
+
+    theta = np.zeros(f + 1)
+    for _ in range(200):
+        p = 1.0 / (1.0 + np.exp(-(A @ theta)))
+        grad = A.T @ (p - y) / n + reg * theta
+        if np.linalg.norm(grad) < 1e-11:
+            break
+        hess = (A * (p * (1 - p) / n)[:, None]).T @ A + np.diag(reg)
+        step = np.linalg.solve(hess, grad)
+        t = 1.0
+        while objective(theta - t * step) > objective(theta) and t > 1e-12:
+            t *= 0.5
+        theta = theta - t * step
+    else:
+        raise AssertionError("reference Newton did not converge")
+    return theta
+
+
+@pytest.mark.parametrize("l2", [1e-3, 1.0, 100.0])
+def test_logreg_agrees_with_dense_newton(wide_problem, l2):
+    X, y = wide_problem
+    model = fit_logreg(X, y, l2=l2)
+    Z, _, _, _ = standardized(X)
+    theta = dense_newton(Z, y, l2)
+    reference = 1.0 / (1.0 + np.exp(-(Z @ theta[:-1] + theta[-1])))
+    assert np.max(np.abs(model.predict_proba(X) - reference)) < 1e-6
+
+
+def test_logreg_iteration_cap_raises(wide_problem):
+    X, y = wide_problem
+    with pytest.raises(NoConvergence, match="1 Newton steps"):
+        fit_logreg(X, y, l2=1e-3, cfg=LogRegConfig(max_iter=1))
+
+
+def test_kfold_cv_keeps_fold_models(wide_problem):
+    X, y = wide_problem
+    result = kfold_cv(X, y, k=3, seed=2)
+    assert len(result.models) == 3
+    assert max(m.grad_norm for m in result.models) < LogRegConfig().tol
 
 
 def test_logreg_single_class_rejected():

@@ -191,6 +191,13 @@ def write_log(wd: Path, args, cfg: PipelineConfig, lines: list[str]) -> None:
                                                      encoding="utf-8")
 
 
+def epoch_time_lines(epoch_s: list[float]) -> list[str]:
+    """Per-epoch wall time for a training log. Kept out of the curve CSVs,
+    which stay byte-reproducible."""
+    return [f"epoch_s_mean={sum(epoch_s) / len(epoch_s):.6f}",
+            f"epoch_s_max={max(epoch_s):.6f}"]
+
+
 def load_manifest(wd: Path, manifest_path=None
                   ) -> tuple[list[str], list[int], list[str]]:
     """Keys, labels and splits in manifest order."""
@@ -363,9 +370,10 @@ def cmd_train_gin(args, cfg: PipelineConfig) -> None:
                        seed=cfg.run.seed, weight_decay=cfg.gin.weight_decay,
                        patience=cfg.gin.patience, readout=cfg.gin.readout)
     history: list = []
+    timings: dict = {}
     params = train_gin([graphs[i] for i in tr], [labels[i] for i in tr],
                        [graphs[i] for i in va], [labels[i] for i in va],
-                       tcfg, history=history)
+                       tcfg, history=history, timings=timings)
     params.save(wd / "gin.gprm")
     with open(wd / "gin_curve.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -374,7 +382,8 @@ def cmd_train_gin(args, cfg: PipelineConfig) -> None:
             writer.writerow([row[0], f"{row[1]:.17g}", f"{row[2]:.17g}"])
     write_log(wd, args, cfg, [
         f"train={len(tr)}", f"val={len(va)}", f"epochs_run={len(history)}",
-        f"best_val={min(h[2] for h in history):.6g}"])
+        f"best_val={min(h[2] for h in history):.6g}"]
+        + epoch_time_lines(timings["epoch_s"]))
     print(f"train-gin: {len(history)} epochs -> gin.gprm")
 
 
@@ -451,7 +460,8 @@ def cmd_train_sage(args, cfg: PipelineConfig) -> None:
                       epochs=cfg.sage.epochs, patience=cfg.sage.patience,
                       seed=cfg.run.seed)
     history: list = []
-    params = train_sage(mg, labels, scfg, history=history)
+    timings: dict = {}
+    params = train_sage(mg, labels, scfg, history=history, timings=timings)
     params.save(wd / "sage.gprm")
     with open(wd / "sage_curve.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -460,7 +470,9 @@ def cmd_train_sage(args, cfg: PipelineConfig) -> None:
             writer.writerow([row[0], f"{row[1]:.17g}", f"{row[2]:.17g}"])
     write_log(wd, args, cfg, [
         f"nodes={mg.n}", f"epochs_run={len(history)}",
-        f"best_val={min(h[2] for h in history):.6g}"])
+        f"best_val={min(h[2] for h in history):.6g}",
+        f"layer1_input_s={timings['layer1_input_s']:.6f}"]
+        + epoch_time_lines(timings["epoch_s"]))
     print(f"train-sage: {len(history)} epochs -> sage.gprm")
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field, fields
 
@@ -74,6 +75,16 @@ class PipelineConfig:
         if self.gin.readout not in ("sum", "mean"):
             raise ConfigError(f"[gin] readout {self.gin.readout!r} is not "
                               f"'sum' or 'mean'")
+        if not (math.isfinite(self.run.l2) and self.run.l2 >= 0):
+            raise ConfigError(f"[run] l2 {self.run.l2!r} is not finite "
+                              f"and >= 0")
+        if not 0 <= self.sage.dropout < 1:
+            raise ConfigError(f"[sage] dropout {self.sage.dropout!r} "
+                              f"not in [0,1)")
+        for name in ("sage", "gin"):
+            epochs = getattr(self, name).epochs
+            if epochs < 1:
+                raise ConfigError(f"[{name}] epochs {epochs} is not >= 1")
 
     def effective_threads(self) -> int:
         if self.run.threads and self.run.threads > 0:

@@ -11,6 +11,7 @@ entries per batched forward pass.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,9 +241,14 @@ def dataset_loss(graphs: list[MolecularGraph], labels: list[int],
 
 def train_gin(train: list[MolecularGraph], train_labels: list[int],
               val: list[MolecularGraph], val_labels: list[int],
-              cfg: TrainConfig, history: list | None = None) -> GINParams:
+              cfg: TrainConfig, history: list | None = None,
+              timings: dict | None = None) -> GINParams:
     """Full-batch Adam on mean cross-entropy; returns the best-validation
-    checkpoint."""
+    checkpoint.
+
+    ``timings``, when given, receives ``epoch_s``: per epoch, the seconds
+    of the training step and of both dataset losses.
+    """
     if not train or not val:
         raise DegenerateLabels("both train and validation splits must be non-empty")
     if len(set(train_labels)) < 2:
@@ -255,8 +261,10 @@ def train_gin(train: list[MolecularGraph], train_labels: list[int],
     best = params.copy()
     best_val = np.inf
     stale = 0
+    epoch_s = []
 
     for epoch in range(cfg.epochs):
+        start = time.perf_counter()
         grads = [np.zeros_like(t) for t in tensors]
         for g, y in zip(train, train_labels):
             _, gs = loss_and_grads(g, params, y)
@@ -268,6 +276,7 @@ def train_gin(train: list[MolecularGraph], train_labels: list[int],
 
         train_loss = dataset_loss(train, train_labels, params)
         val_loss = dataset_loss(val, val_labels, params)
+        epoch_s.append(time.perf_counter() - start)
         if history is not None:
             history.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
@@ -278,6 +287,8 @@ def train_gin(train: list[MolecularGraph], train_labels: list[int],
             stale += 1
             if stale > cfg.patience:
                 break
+    if timings is not None:
+        timings["epoch_s"] = epoch_s
     return best
 
 

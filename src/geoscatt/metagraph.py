@@ -12,10 +12,18 @@ with sigma the population standard deviation of the off-diagonal distances.
 The diagonal never enters sigma, the max, or aggregation. Training is
 transductive: the full graph is forwarded each epoch and the loss is
 masked to training nodes.
+
+Layer 1 of the GraphSAGE reads ``[H, rownorm(W) H]``, which depends on no
+parameter: it is built once per graph, with the row-sum guard of the
+normalization, by ``train_sage`` for a whole run and by ``sage_forward``
+for its call. Within a run, each epoch's eval forward hands its layer-1
+pre-activation to the next training step, which starts from the same
+parameters.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -146,33 +154,50 @@ def init_sage(cfg: SageConfig) -> SageParams:
 
 
 @dataclass
+class _GraphTerms:
+    """The parameter-free part of the network's input, built once per graph."""
+    x0: np.ndarray      # [H, rownorm(W) H], layer 1's input
+    safe: np.ndarray    # row sums of W, 1 for a row without edges
+
+
+@dataclass
 class _SageForward:
-    agg0: np.ndarray
     z1: np.ndarray
-    dropped: np.ndarray
     drop_scale: np.ndarray | None
-    agg1: np.ndarray
+    x1: np.ndarray      # [dropped, rownorm(W) dropped], layer 2's input
     z2: np.ndarray
     logits: np.ndarray
 
 
-def _neighbor_mean(W: np.ndarray, H: np.ndarray) -> np.ndarray:
-    rowsum = W.sum(axis=1, keepdims=True)
-    safe = np.where(rowsum > 0, rowsum, 1.0)
+def _neighbor_mean(W: np.ndarray, H: np.ndarray,
+                   safe: np.ndarray) -> np.ndarray:
+    # a division, not a product with 1/safe: the two differ in the last bit
     return (W @ H) / safe
 
 
-def _sage_forward_full(mg: MetaGraph, p: SageParams, dropout_active: bool,
-                       rng: np.random.Generator | None) -> _SageForward:
-    """Forward pass; a tensor with a leading batch axis evaluates a stack."""
+def _graph_terms(mg: MetaGraph) -> _GraphTerms:
     H = mg.node_features
-    if 2 * H.shape[1] != p.w1.shape[-2]:
+    rowsum = mg.weights.sum(axis=1, keepdims=True)
+    safe = np.where(rowsum > 0, rowsum, 1.0)
+    x0 = np.concatenate([H, _neighbor_mean(mg.weights, H, safe)], axis=-1)
+    return _GraphTerms(x0=x0, safe=safe)
+
+
+def _sage_forward_full(mg: MetaGraph, p: SageParams, terms: _GraphTerms,
+                       dropout_active: bool, rng: np.random.Generator | None,
+                       z1: np.ndarray | None = None) -> _SageForward:
+    """Forward pass; a tensor with a leading batch axis evaluates a stack.
+
+    ``z1`` is layer 1's pre-activation when the caller already holds it at
+    these parameters; dropout acts after it, so it serves either mode.
+    """
+    if terms.x0.shape[1] != p.w1.shape[-2]:
         raise ShapeMismatch(
-            f"features have dim {H.shape[1]} but layer 1 expects "
+            f"features have dim {terms.x0.shape[1] // 2} but layer 1 expects "
             f"{p.w1.shape[-2] // 2}")
 
-    agg0 = _neighbor_mean(mg.weights, H)
-    z1 = np.concatenate([H, agg0], axis=-1) @ p.w1 + p.b1
+    if z1 is None:
+        z1 = terms.x0 @ p.w1 + p.b1
     r1 = np.maximum(z1, 0.0)
 
     drop_scale = None
@@ -183,18 +208,20 @@ def _sage_forward_full(mg: MetaGraph, p: SageParams, dropout_active: bool,
     else:
         dropped = r1
 
-    agg1 = _neighbor_mean(mg.weights, dropped)
-    z2 = np.concatenate([dropped, agg1], axis=-1) @ p.w2 + p.b2
+    agg1 = _neighbor_mean(mg.weights, dropped, terms.safe)
+    x1 = np.concatenate([dropped, agg1], axis=-1)
+    z2 = x1 @ p.w2 + p.b2
     logits = z2 @ p.wc + p.bc
-    return _SageForward(agg0=agg0, z1=z1, dropped=dropped,
-                        drop_scale=drop_scale, agg1=agg1, z2=z2, logits=logits)
+    return _SageForward(z1=z1, drop_scale=drop_scale, x1=x1, z2=z2,
+                        logits=logits)
 
 
 def sage_forward(mg: MetaGraph, p: SageParams, dropout_active: bool = False,
                  seed: int = 0) -> np.ndarray:
     """Logits (n x n_classes) for every meta-graph node."""
     rng = np.random.default_rng(seed) if dropout_active else None
-    return _sage_forward_full(mg, p, dropout_active, rng).logits
+    return _sage_forward_full(mg, p, _graph_terms(mg), dropout_active,
+                              rng).logits
 
 
 def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray,
@@ -210,8 +237,9 @@ def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray,
     return -np.ascontiguousarray(picked).mean(axis=-1)
 
 
-def _sage_backward(mg: MetaGraph, p: SageParams, fw: _SageForward,
-                   labels: np.ndarray, mask: np.ndarray) -> list[np.ndarray]:
+def _sage_backward(mg: MetaGraph, p: SageParams, terms: _GraphTerms,
+                   fw: _SageForward, labels: np.ndarray,
+                   mask: np.ndarray) -> list[np.ndarray]:
     n_masked = int(mask.sum())
     shifted = fw.logits - fw.logits.max(axis=1, keepdims=True)
     probs = np.exp(shifted)
@@ -225,24 +253,17 @@ def _sage_backward(mg: MetaGraph, p: SageParams, fw: _SageForward,
     d_bc = dlogits.sum(axis=0)
     d_z2 = dlogits @ p.wc.T
 
-    cat2 = np.hstack([fw.dropped, fw.agg1])
-    d_w2 = cat2.T @ d_z2
+    d_w2 = fw.x1.T @ d_z2
     d_b2 = d_z2.sum(axis=0)
-    d_cat2 = d_z2 @ p.w2.T
-    hidden = fw.dropped.shape[1]
-    d_dropped = d_cat2[:, :hidden]
-    d_agg1 = d_cat2[:, hidden:]
-
-    rowsum = mg.weights.sum(axis=1, keepdims=True)
-    safe = np.where(rowsum > 0, rowsum, 1.0)
-    d_dropped = d_dropped + mg.weights.T @ (d_agg1 / safe)
+    d_x1 = d_z2 @ p.w2.T
+    hidden = fw.z1.shape[1]
+    d_dropped = (d_x1[:, :hidden]
+                 + mg.weights.T @ (d_x1[:, hidden:] / terms.safe))
 
     d_r1 = d_dropped * fw.drop_scale if fw.drop_scale is not None else d_dropped
     d_z1 = d_r1 * (fw.z1 > 0)
 
-    H = mg.node_features
-    cat1 = np.hstack([H, fw.agg0])
-    d_w1 = cat1.T @ d_z1
+    d_w1 = terms.x0.T @ d_z1
     d_b1 = d_z1.sum(axis=0)
     return [d_w1, d_b1, d_w2, d_b2, d_wc, d_bc]
 
@@ -250,15 +271,35 @@ def _sage_backward(mg: MetaGraph, p: SageParams, fw: _SageForward,
 def sage_loss_and_grads(mg: MetaGraph, p: SageParams, labels: np.ndarray,
                         mask: np.ndarray, dropout_active: bool = False,
                         rng: np.random.Generator | None = None,
+                        terms: _GraphTerms | None = None,
+                        z1: np.ndarray | None = None,
                         ) -> tuple[float, list[np.ndarray]]:
-    fw = _sage_forward_full(mg, p, dropout_active, rng)
+    """Masked loss and its gradients. ``terms`` is the graph's
+    parameter-free input when the caller built it already; ``z1`` is
+    layer 1's pre-activation at ``p`` when the caller holds it."""
+    if terms is None:
+        terms = _graph_terms(mg)
+    fw = _sage_forward_full(mg, p, terms, dropout_active, rng, z1)
     loss = masked_cross_entropy(fw.logits, labels, mask)
-    return loss, _sage_backward(mg, p, fw, labels, mask)
+    return loss, _sage_backward(mg, p, terms, fw, labels, mask)
 
 
 def train_sage(mg: MetaGraph, labels: np.ndarray, cfg: SageConfig,
-               history: list | None = None) -> SageParams:
-    """Transductive training with early stopping on validation loss."""
+               history: list | None = None,
+               timings: dict | None = None) -> SageParams:
+    """Transductive training with early stopping on validation loss.
+
+    Layer 1's input ``[H, rownorm(W) H]`` and the row-sum guard depend on
+    no parameter, so they are built once, before the first epoch, and
+    serve every forward and backward of the run. Each epoch's eval forward
+    runs at the parameters the next training step starts from; its layer-1
+    pre-activation is handed to that step, and only the first step
+    computes its own.
+
+    ``timings``, when given, receives ``layer1_input_s`` (the one-time
+    build) and ``epoch_s``: per epoch, the seconds of the training step
+    and the eval forward with its losses.
+    """
     labels = np.asarray(labels, dtype=int)
     if mg.train_mask is None:
         raise ShapeMismatch("meta-graph masks not set")
@@ -270,17 +311,27 @@ def train_sage(mg: MetaGraph, labels: np.ndarray, cfg: SageConfig,
     opt = Adam(tensors, lr=cfg.lr, weight_decay=cfg.weight_decay)
     rng = np.random.default_rng(cfg.seed)
 
+    start = time.perf_counter()
+    terms = _graph_terms(mg)
+    layer1_input_s = time.perf_counter() - start
+    epoch_s = []
+    z1 = None
+
     best = params.copy()
     best_val = np.inf
     stale = 0
     for epoch in range(cfg.epochs):
+        start = time.perf_counter()
         _, grads = sage_loss_and_grads(mg, params, labels, mg.train_mask,
-                                       dropout_active=True, rng=rng)
+                                       dropout_active=True, rng=rng,
+                                       terms=terms, z1=z1)
         opt.step(tensors, grads)
 
-        eval_logits = sage_forward(mg, params, dropout_active=False)
-        train_loss = masked_cross_entropy(eval_logits, labels, mg.train_mask)
-        val_loss = masked_cross_entropy(eval_logits, labels, mg.val_mask)
+        fw = _sage_forward_full(mg, params, terms, False, None)
+        z1 = fw.z1
+        train_loss = masked_cross_entropy(fw.logits, labels, mg.train_mask)
+        val_loss = masked_cross_entropy(fw.logits, labels, mg.val_mask)
+        epoch_s.append(time.perf_counter() - start)
         if history is not None:
             history.append((epoch, train_loss, val_loss))
         if val_loss < best_val:
@@ -291,6 +342,9 @@ def train_sage(mg: MetaGraph, labels: np.ndarray, cfg: SageConfig,
             stale += 1
             if stale > cfg.patience:
                 break
+    if timings is not None:
+        timings["layer1_input_s"] = layer1_input_s
+        timings["epoch_s"] = epoch_s
     return best
 
 
@@ -302,7 +356,8 @@ def sage_grad_check(mg: MetaGraph, p: SageParams, labels: np.ndarray,
     Every entry is skipped when a first-layer ReLU input is within 1e-8 of
     zero; otherwise, when one flips sign across +-h.
     """
-    base = _sage_forward_full(mg, p, False, None)
+    terms = _graph_terms(mg)
+    base = _sage_forward_full(mg, p, terms, False, None)
     base_near_kink = bool(np.any(np.abs(base.z1) < 1e-8))
     tensors = p.tensors()
 
@@ -310,12 +365,13 @@ def sage_grad_check(mg: MetaGraph, p: SageParams, labels: np.ndarray,
         ts = list(tensors)
         # every bias is per node and needs a node axis to broadcast over
         ts[ti] = stack[:, None] if stack.ndim == 2 else stack
-        fw = _sage_forward_full(mg, SageParams(*ts), False, None)
+        fw = _sage_forward_full(mg, SageParams(*ts), terms, False, None)
         return (masked_cross_entropy(fw.logits, labels, mask),
                 [np.broadcast_to(fw.z1, (len(stack),) + base.z1.shape)])
 
     def kinked(zu, zd):
         return base_near_kink | ((zu > 0) != (zd > 0))
 
-    return check_gradients(tensors, _sage_backward(mg, p, base, labels, mask),
-                           loss, kinked, h, denom_floor)
+    return check_gradients(
+        tensors, _sage_backward(mg, p, terms, base, labels, mask),
+        loss, kinked, h, denom_floor)

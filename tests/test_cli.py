@@ -103,6 +103,11 @@ def test_full_pipeline_and_artifacts(workdir):
         fields = log_fields(command)
         assert float(fields["wall_s"]) > 0.0, command
         assert float(fields["peak_rss_mb"]) > 10.0, command
+    sage = log_fields("train-sage")
+    assert float(sage["layer1_input_s"]) > 0.0
+    for command in ("train-gin", "train-sage"):
+        fields = log_fields(command)
+        assert 0.0 < float(fields["epoch_s_mean"]) <= float(fields["epoch_s_max"])
     head = log_fields("fit-head")
     assert float(head["grad_norm"]) < float(head["tol"]) == 1e-6
     assert 1 <= int(head["newton_iters"]) <= 100
@@ -423,6 +428,28 @@ def test_unknown_readout_rejected(tmp_path, capsys):
                "--config", str(config)])
     assert rc == 2
     assert "error[config]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flags,ini,named", [
+    ("fit-head", ["--features", "ggs.fmat", "--l2", "-1"], None, "l2 -1.0"),
+    ("fit-head", ["--features", "ggs.fmat"], "[run]\nl2 = nan\n", "l2 nan"),
+    ("train-sage", [], "[sage]\ndropout = 1.0\n", "dropout 1.0"),
+    ("train-sage", ["--epochs", "0"], None, "[sage] epochs 0"),
+    ("train-gin", ["--epochs", "0"], None, "[gin] epochs 0"),
+], ids=["l2-negative", "l2-nan", "dropout-one", "sage-epochs-zero",
+        "gin-epochs-zero"])
+def test_training_knobs_validated(tmp_path, capsys, command, flags, ini, named):
+    wd = tmp_path / "wd"
+    argv = [command, "--workdir", str(wd), "--seed", "1"] + flags
+    if ini is not None:
+        config = tmp_path / "cfg.ini"
+        config.write_text(ini)
+        argv += ["--config", str(config)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error[config]" in err and named in err
+    assert not wd.exists()
 
 
 def test_evaluate_head_checked_against_features(tmp_path, dataset_csv, capsys):

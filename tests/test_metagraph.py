@@ -98,7 +98,7 @@ def test_equal_weights_aggregate_to_plain_mean():
     rng = np.random.default_rng(5)
     H = rng.standard_normal((6, 4))
     W = np.ones((6, 6)) - np.eye(6)
-    agg = _neighbor_mean(W, H)
+    agg = _neighbor_mean(W, H, W.sum(axis=1, keepdims=True))
     for i in range(6):
         others = np.delete(H, i, axis=0).mean(axis=0)
         assert np.allclose(agg[i], others, atol=1e-12)
@@ -258,3 +258,125 @@ def test_topk_sparsification_keeps_symmetry():
     p = init_sage(SageConfig(in_dim=6, hidden=8, embed=4, seed=1))
     logits = sage_forward(sparse, p)
     assert np.all(np.isfinite(logits))
+
+
+def reference_train_sage(mg, labels, cfg):
+    """Training as a per-call epoch: every forward rebuilds [H, rownorm(W) H]
+    and its row sums, and the eval forward is a separate pass."""
+    from geoscatt.metagraph import masked_cross_entropy
+    from geoscatt.optim import Adam
+
+    def neighbor_mean(W, X):
+        rowsum = W.sum(axis=1, keepdims=True)
+        return (W @ X) / np.where(rowsum > 0, rowsum, 1.0)
+
+    def forward(p, rng):
+        H = mg.node_features
+        agg0 = neighbor_mean(mg.weights, H)
+        z1 = np.concatenate([H, agg0], axis=-1) @ p.w1 + p.b1
+        r1 = np.maximum(z1, 0.0)
+        scale = None
+        dropped = r1
+        if rng is not None and p.dropout > 0:
+            scale = (rng.random(r1.shape) >= p.dropout) / (1.0 - p.dropout)
+            dropped = r1 * scale
+        agg1 = neighbor_mean(mg.weights, dropped)
+        z2 = np.concatenate([dropped, agg1], axis=-1) @ p.w2 + p.b2
+        return agg0, z1, scale, dropped, agg1, z2, z2 @ p.wc + p.bc
+
+    def grads(p, rng):
+        agg0, z1, scale, dropped, agg1, z2, logits = forward(p, rng)
+        mask = mg.train_mask
+        probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        dlogits = np.zeros_like(logits)
+        dlogits[mask] = probs[mask]
+        dlogits[mask, labels[mask]] -= 1.0
+        dlogits /= int(mask.sum())
+        d_z2 = dlogits @ p.wc.T
+        d_cat2 = d_z2 @ p.w2.T
+        hidden = dropped.shape[1]
+        rowsum = mg.weights.sum(axis=1, keepdims=True)
+        safe = np.where(rowsum > 0, rowsum, 1.0)
+        d_dropped = (d_cat2[:, :hidden]
+                     + mg.weights.T @ (d_cat2[:, hidden:] / safe))
+        d_r1 = d_dropped * scale if scale is not None else d_dropped
+        d_z1 = d_r1 * (z1 > 0)
+        return [np.hstack([mg.node_features, agg0]).T @ d_z1, d_z1.sum(axis=0),
+                np.hstack([dropped, agg1]).T @ d_z2, d_z2.sum(axis=0),
+                z2.T @ dlogits, dlogits.sum(axis=0)]
+
+    params = init_sage(cfg)
+    tensors = params.tensors()
+    opt = Adam(tensors, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    rng = np.random.default_rng(cfg.seed)
+    best, best_val, stale, history = params.copy(), np.inf, 0, []
+    for epoch in range(cfg.epochs):
+        opt.step(tensors, grads(params, rng))
+        logits = forward(params, None)[-1]
+        train_loss = masked_cross_entropy(logits, labels, mg.train_mask)
+        val_loss = masked_cross_entropy(logits, labels, mg.val_mask)
+        history.append((epoch, train_loss, val_loss))
+        if val_loss < best_val:
+            best_val, best, stale = val_loss, params.copy(), 0
+        else:
+            stale += 1
+            if stale > cfg.patience:
+                break
+    return best, history
+
+
+def zero_row_metagraph():
+    """A node without edges: its row sum is 0 and the guard divides by 1."""
+    mg, y = separable_metagraph()
+    W = mg.weights.copy()
+    W[7, :] = 0.0
+    W[:, 7] = 0.0
+    out = metagraph.MetaGraph(node_features=mg.node_features, weights=W,
+                              sigma_kernel=mg.sigma_kernel)
+    out.set_masks(mg.train_mask, mg.val_mask, mg.test_mask)
+    return out, y
+
+
+@pytest.mark.parametrize("dropout", [0.0, 0.5])
+@pytest.mark.parametrize("graph", ["dense", "topk", "zero-row"])
+def test_training_matches_per_call_epoch_bit_for_bit(graph, dropout):
+    from geoscatt.metagraph import sparsify_topk
+    mg, y = separable_metagraph()
+    if graph == "topk":
+        mg = sparsify_topk(mg, 3)
+    elif graph == "zero-row":
+        mg, y = zero_row_metagraph()
+    assert graph != "zero-row" or mg.weights.sum(axis=1).min() == 0.0
+    cfg = SageConfig(in_dim=10, hidden=16, embed=8, epochs=60, patience=8,
+                     dropout=dropout, seed=14)
+    history = []
+    params = train_sage(mg, y, cfg, history=history)
+    ref_params, ref_history = reference_train_sage(mg, y, cfg)
+    assert history == ref_history
+    for got, want in zip(params.tensors(), ref_params.tensors()):
+        assert np.array_equal(got, want)
+
+
+def test_node_features_aggregated_once_per_graph(monkeypatch):
+    mg, y = separable_metagraph()
+    calls = []  # per _neighbor_mean call: did it aggregate the node features?
+    aggregate = metagraph._neighbor_mean
+
+    def counted(W, X, safe):
+        calls.append(X is mg.node_features)
+        return aggregate(W, X, safe)
+
+    monkeypatch.setattr(metagraph, "_neighbor_mean", counted)
+    history = []
+    train_sage(mg, y, SageConfig(in_dim=10, hidden=16, embed=8, epochs=12,
+                                 seed=15), history=history)
+    assert len(history) == 12
+    assert calls.count(True) == 1
+    assert len(calls) == 1 + 2 * len(history)
+
+    calls.clear()
+    p = init_sage(SageConfig(in_dim=10, hidden=16, embed=8, seed=15))
+    sage_forward(mg, p)
+    sage_forward(mg, p)
+    assert calls == [True, False, True, False]

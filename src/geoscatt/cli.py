@@ -22,9 +22,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import resource
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +44,6 @@ from .ingest import (build_records, dedup_clear_evidence, load_smiles_csv,
 from .metagraph import (MetaGraph, SageConfig, SageParams, build_metagraph,
                         sage_forward, sparsify_topk, train_sage)
 from .molgraph import MolecularGraph
-from .parallel import parallel_map
 from .scatter2d import (chi2_select, morlet_bank, rasterize, scatter2d_channels,
                         scatter_image)
 from .smiles import parse_smiles
@@ -77,7 +78,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="INI config file")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--threads", type=int, default=None,
-                       help="parallelism degree (GEOSCATT_THREADS fallback)")
+                       help="featurize-2d: images scattered at once "
+                            "(default all cores, at least 1); the other "
+                            "stages run one thread and ignore it")
         p.add_argument("--manifest", default=None,
                        help="manifest CSV (default <workdir>/manifest.csv; "
                             "graph stages read records.csv beside it)")
@@ -152,8 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
 def apply_overrides(cfg: PipelineConfig, args) -> None:
     if getattr(args, "seed", None) is not None:
         cfg.run.seed = args.seed
-    if getattr(args, "threads", None) is not None:
-        cfg.run.threads = args.threads
     if getattr(args, "test_fraction", None) is not None:
         cfg.run.test_fraction = args.test_fraction
     if getattr(args, "epochs", None) is not None:
@@ -272,10 +273,7 @@ def write_columns(path: Path, labels: list[str]) -> None:
 def cmd_ingest(args, cfg: PipelineConfig) -> None:
     wd = workdir_of(args)
     rows = load_smiles_csv(args.input)
-    threads = cfg.effective_threads()
-    records, skipped = build_records(
-        rows, strict=args.strict,
-        mapper=lambda f, xs: parallel_map(f, xs, threads))
+    records, skipped = build_records(rows, strict=args.strict)
     records = dedup_clear_evidence(records)
     train, test = split_dataset(records, cfg.run.test_fraction, cfg.run.seed)
     split_of = {r.canonical_key: "train" for r in train}
@@ -306,8 +304,7 @@ def cmd_featurize_gst(args, cfg: PipelineConfig) -> None:
     _, _, _, graphs = load_graphs(wd, args.manifest)
     gcfg = GGSConfig(diffusion_scales=cfg.gst.diffusion_scales,
                      diffusion_depth=cfg.gst.diffusion_depth)
-    vectors = parallel_map(lambda g: ggs_features(g, gcfg), graphs,
-                           cfg.effective_threads())
+    vectors = [ggs_features(g, gcfg) for g in graphs]
     matrix = np.array([v.values for v in vectors])
     name = write_features(wd, "ggs", matrix, vectors[0].labels, args.format)
     write_log(wd, args, cfg,
@@ -317,6 +314,9 @@ def cmd_featurize_gst(args, cfg: PipelineConfig) -> None:
 
 
 def cmd_featurize_2d(args, cfg: PipelineConfig) -> None:
+    threads = (os.cpu_count() or 1) if args.threads is None else args.threads
+    if threads < 1:
+        raise ConfigError(f"--threads {threads} is not >= 1")
     wd = workdir_of(args)
     _, labels, splits, graphs = load_graphs(wd, args.manifest)
     sc = cfg.scatter2d
@@ -337,7 +337,7 @@ def cmd_featurize_2d(args, cfg: PipelineConfig) -> None:
             write_pgm(img_dir / f"{i:05d}.pgm", img.pixels)
         return scatter_image(img, bank, 2)
 
-    vectors = parallel_map(one, enumerate(graphs), cfg.effective_threads())
+    vectors, workers = _map_images(one, list(enumerate(graphs)), threads)
     matrix = np.array([v.values for v in vectors])
     col_labels = vectors[0].labels
 
@@ -357,8 +357,25 @@ def cmd_featurize_2d(args, cfg: PipelineConfig) -> None:
     name = write_features(wd, "scat2d", matrix, col_labels, args.format)
     write_log(wd, args, cfg, [
         f"molecules={matrix.shape[0]}", f"columns={matrix.shape[1]}",
-        f"image_size={sc.size}", f"scales={sc.j}", f"orientations={sc.l}"])
+        f"image_size={sc.size}", f"scales={sc.j}", f"orientations={sc.l}",
+        f"threads={workers}"])
     print(f"featurize-2d: {matrix.shape[0]} x {matrix.shape[1]} -> {name}")
+
+
+def _map_images(fn, items: list, threads: int) -> tuple[list, int]:
+    """``[fn(x) for x in items]`` on up to ``threads`` threads, in input
+    order; also returns the number of threads that ran.
+
+    Only featurize-2d maps on threads: the FFTs of ``scatter_image`` release
+    the GIL and gain from a second thread from 128 px up, while the other
+    per-molecule maps hold the GIL and only slow down. One thread runs as a
+    plain loop, without the executor's hand-off per image.
+    """
+    workers = min(threads, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items], 1
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items)), workers
 
 
 def cmd_train_gin(args, cfg: PipelineConfig) -> None:
@@ -391,9 +408,7 @@ def cmd_export_embeddings(args, cfg: PipelineConfig) -> None:
     wd = workdir_of(args)
     _, _, _, graphs = load_graphs(wd, args.manifest)
     params = GINParams.load(wd / "gin.gprm", readout=cfg.gin.readout)
-    emb = embed_molecules(graphs, params,
-                          mapper=lambda f, xs: parallel_map(
-                              f, xs, cfg.effective_threads()))
+    emb = embed_molecules(graphs, params)
     write_fmat(wd / "gin_embeddings.fmat", emb)
     write_columns(wd / "gin_embeddings.columns.csv",
                   [f"gin.e{i}" for i in range(emb.shape[1])])

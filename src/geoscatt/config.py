@@ -9,7 +9,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-import os
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
@@ -54,7 +53,6 @@ class RunSection:
     seed: int = None
     test_fraction: float = 0.2
     val_fraction: float = 0.1
-    threads: int = 0           # 0 = all cores
     l2: float = 1e-3
     cv_folds: int = 10
 
@@ -85,19 +83,9 @@ class PipelineConfig:
             epochs = getattr(self, name).epochs
             if epochs < 1:
                 raise ConfigError(f"[{name}] epochs {epochs} is not >= 1")
-
-    def effective_threads(self) -> int:
-        if self.run.threads and self.run.threads > 0:
-            return self.run.threads
-        env = os.environ.get("GEOSCATT_THREADS")
-        if env:
-            try:
-                parsed = int(env)
-            except ValueError:
-                raise ConfigError(f"GEOSCATT_THREADS={env!r} is not an integer")
-            if parsed > 0:
-                return parsed
-        return os.cpu_count() or 1
+        if self.scatter2d.k_select < 0:
+            raise ConfigError(f"[scatter2d] k_select {self.scatter2d.k_select} "
+                              f"is not >= 0")
 
     def digest(self) -> str:
         parts = []

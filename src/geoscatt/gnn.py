@@ -69,8 +69,7 @@ def init_gin(seed: int, scale: float = 0.05, readout: str = "sum") -> GINParams:
     rng = np.random.default_rng(seed)
 
     def affine(n_in, n_out):
-        std = scale if scale is not None else np.sqrt(2.0 / n_in)
-        return rng.normal(0.0, std, (n_in, n_out)), np.zeros(n_out)
+        return rng.normal(0.0, scale, (n_in, n_out)), np.zeros(n_out)
 
     layers = []
     for n_in, n_hidden, n_out in GIN_LAYER_DIMS:
@@ -292,10 +291,8 @@ def train_gin(train: list[MolecularGraph], train_labels: list[int],
     return best
 
 
-def embed_molecules(graphs: list[MolecularGraph], p: GINParams,
-                    mapper=map) -> np.ndarray:
-    rows = list(mapper(lambda g: _forward(g, p).embedding, graphs))
-    return np.array(rows)
+def embed_molecules(graphs: list[MolecularGraph], p: GINParams) -> np.ndarray:
+    return np.array([_forward(g, p).embedding for g in graphs])
 
 
 # --- gradient verification ---------------------------------------------------

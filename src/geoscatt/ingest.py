@@ -165,30 +165,22 @@ def load_smiles_csv(path) -> list[tuple[str, int]]:
 
 
 def build_records(rows: list[tuple[str, int]], strict: bool = False,
-                  metals: frozenset[int] = DEFAULT_METALS, mapper=map,
+                  metals: frozenset[int] = DEFAULT_METALS,
                   ) -> tuple[list[DatasetRecord], list[tuple[int, str, str, str]]]:
     """Parse + preprocess every row; returns (records, skipped).
 
     ``skipped`` rows carry (row index, smiles, error category, message),
     the row index counting data rows from 0. With ``strict`` the
-    first failure raises instead. Rows are independent, so ``mapper`` may
-    be a parallel map; output order follows input order either way.
+    first failure raises instead.
     """
-    def one(row):
-        smiles, label = row
-        try:
-            return record_from_smiles(smiles, label, metals=metals), None
-        except GeoscattError as exc:
-            return None, exc
-
     records, skipped = [], []
-    for i, (record, exc) in enumerate(mapper(one, rows)):
-        if record is not None:
-            records.append(record)
-        elif strict:
-            raise exc
-        else:
-            skipped.append((i, rows[i][0], exc.category, str(exc)))
+    for i, (smiles, label) in enumerate(rows):
+        try:
+            records.append(record_from_smiles(smiles, label, metals=metals))
+        except GeoscattError as exc:
+            if strict:
+                raise
+            skipped.append((i, smiles, exc.category, str(exc)))
     return records, skipped
 
 

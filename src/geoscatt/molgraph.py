@@ -67,9 +67,6 @@ class MolecularGraph:
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-    def neighbors(self, idx: int) -> list[int]:
-        return [b.other(idx) for b in self.bonds if idx in (b.i, b.j)]
-
     def adjacency(self) -> np.ndarray:
         """Unweighted symmetric 0/1 adjacency with zero diagonal."""
         n = self.n_atoms

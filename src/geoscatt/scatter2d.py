@@ -95,8 +95,8 @@ def _layout(g: MolecularGraph, size: int) -> np.ndarray:
         off = 0.4 * size
         return np.array([[center - off, center], [center + off, center]])
 
-    deg = g.adjacency().sum(axis=1)
-    laplacian = np.diag(deg) - g.adjacency()
+    adjacency = g.adjacency()
+    laplacian = np.diag(adjacency.sum(axis=1)) - adjacency
     _, V = np.linalg.eigh(laplacian)
     return _fit_to_box(_orient(V[:, 1:3]), size)
 
@@ -222,7 +222,9 @@ def scatter_image(img: Image, bank: MorletBank, order: int = 2) -> ScatterVector
     phi = bank.lowpass_freq
 
     def smooth(field_freq):
-        return np.fft.ifft2(field_freq * phi).real[::step, ::step].ravel()
+        # flatten copies: at one cell per channel (size == 2^J) ravel would
+        # return a view that keeps the whole complex field alive
+        return np.fft.ifft2(field_freq * phi).real[::step, ::step].flatten()
 
     f0 = np.fft.fft2(img.pixels)
     blocks = [smooth(f0)]

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -114,6 +115,21 @@ def test_full_pipeline_and_artifacts(workdir):
     cv = log_fields("cv")
     assert float(cv["max_grad_norm"]) < float(cv["tol"]) == 1e-6
     assert 1 <= int(cv["max_newton_iters"]) <= 100
+
+
+def test_cv_on_all_rows(workdir, tmp_path):
+    wd = tmp_path / "wd"
+    assert main(["cv", "--workdir", str(wd), "--seed", "7",
+                 "--manifest", str(workdir / "manifest.csv"),
+                 "--features", str(workdir / "ggs.fmat"), "--k", "3",
+                 "--split", "all"]) == 0
+    manifest = (workdir / "manifest.csv").read_text().splitlines()[1:]
+    log = (wd / "logs" / "cv.log").read_text().splitlines()
+    assert f"rows={len(manifest)}" in log
+    assert any(line.endswith(",test") for line in manifest)
+    with open(wd / "cv_ggs.csv", newline="") as fh:
+        first_cells = [row[0] for row in csv.reader(fh)]
+    assert first_cells == ["fold", "0", "1", "2", "mean", "std", "pooled_auc"]
 
 
 def test_featurize_2d_with_selection(tmp_path, dataset_csv):
@@ -230,14 +246,39 @@ def test_help_lists_flags(capsys):
         assert flag in text
 
 
-def test_threads_env_fallback(tmp_path, dataset_csv, monkeypatch):
-    monkeypatch.setenv("GEOSCATT_THREADS", "2")
+def test_molecule_stages_start_no_thread(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"thread {self.name} started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    small = tmp_path / "small.csv"
+    write_csv(small, generate(20, seed=8))
+    wd = str(tmp_path / "wd")
+    common = ["--workdir", wd, "--seed", "5", "--threads", "4"]
+    for argv in (["ingest", "--input", str(small)], ["featurize-gst"],
+                 ["train-gin", "--epochs", "1"], ["export-embeddings"]):
+        assert main(argv + common) == 0, argv
+
+
+def test_featurize_2d_threads_change_no_byte(tmp_path):
+    config = tmp_path / "run.ini"
+    config.write_text("[scatter2d]\nj = 3\nl = 2\nsize = 16\n")
+    small = tmp_path / "small.csv"
+    write_csv(small, generate(12, seed=6))
     wd = tmp_path / "wd"
-    assert main(["ingest", "--input", str(dataset_csv), "--workdir", str(wd),
-                 "--seed", "4"]) == 0
-    assert main(["featurize-gst", "--workdir", str(wd), "--seed", "4"]) == 0
-    m = read_fmat(wd / "ggs.fmat")
-    assert m.shape[1] == 595
+    assert main(["ingest", "--input", str(small), "--workdir", str(wd),
+                 "--seed", "5"]) == 0
+    digests, used = {}, {}
+    for threads in ("1", "2", "16"):
+        assert main(["featurize-2d", "--workdir", str(wd), "--seed", "5",
+                     "--config", str(config), "--threads", threads]) == 0
+        digests[threads] = digest(wd / "scat2d.fmat")
+        log = (wd / "logs" / "featurize-2d.log").read_text().splitlines()
+        used[threads] = [line for line in log if line.startswith("threads=")]
+    assert digests["2"] == digests["16"] == digests["1"]
+    # at most one thread per image
+    assert used == {"1": ["threads=1"], "2": ["threads=2"],
+                    "16": ["threads=12"]}
 
 
 def test_k_select_checked_before_rasterizing(tmp_path, monkeypatch, capsys):
@@ -373,11 +414,13 @@ def test_train_gin_honours_readout(tmp_path):
 
 def test_removed_hann_keys_are_unknown(tmp_path, dataset_csv, capsys):
     config = tmp_path / "cfg.ini"
-    config.write_text("[gst]\nhann_variant = standard-hann\n")
-    rc = main(["featurize-gst", "--workdir", str(tmp_path / "wd"),
-               "--seed", "1", "--config", str(config)])
-    assert rc == 2
-    assert "unknown key 'hann_variant'" in capsys.readouterr().err
+    for section, key, value in (("gst", "hann_variant", "standard-hann"),
+                                ("run", "threads", "2")):
+        config.write_text(f"[{section}]\n{key} = {value}\n")
+        rc = main(["featurize-gst", "--workdir", str(tmp_path / "wd"),
+                   "--seed", "1", "--config", str(config)])
+        assert rc == 2
+        assert f"unknown key '{key}'" in capsys.readouterr().err
 
 
 def test_manifest_stages_parse_no_smiles(tmp_path, monkeypatch):
@@ -436,8 +479,12 @@ def test_unknown_readout_rejected(tmp_path, capsys):
     ("train-sage", [], "[sage]\ndropout = 1.0\n", "dropout 1.0"),
     ("train-sage", ["--epochs", "0"], None, "[sage] epochs 0"),
     ("train-gin", ["--epochs", "0"], None, "[gin] epochs 0"),
+    ("featurize-2d", ["--k-select", "-3"], None, "[scatter2d] k_select -3"),
+    ("featurize-2d", ["--threads", "0"], None, "--threads 0"),
+    ("featurize-2d", ["--threads", "-1"], None, "--threads -1"),
 ], ids=["l2-negative", "l2-nan", "dropout-one", "sage-epochs-zero",
-        "gin-epochs-zero"])
+        "gin-epochs-zero", "k-select-negative", "threads-zero",
+        "threads-negative"])
 def test_training_knobs_validated(tmp_path, capsys, command, flags, ini, named):
     wd = tmp_path / "wd"
     argv = [command, "--workdir", str(wd), "--seed", "1"] + flags

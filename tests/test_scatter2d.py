@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,21 @@ def test_coefficient_count_64():
         assert lower.labels == tuple(l for l in sv.labels
                                      if int(l[1]) <= order)
         assert len(lower.values) == len(lower.labels)
+
+
+def test_one_cell_channels_keep_no_field_alive():
+    # at size == 2^J every channel is one cell; were it a view, it would keep
+    # its whole complex field (64 KiB here, 4 MiB at 512 px) alive
+    bank = morlet_bank(6, 8, 64)
+    img = rasterize(preprocess(parse_smiles("CCO")), 64)
+    tracemalloc.start()
+    try:
+        sv = scatter_image(img, bank, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sv.values) == scatter2d_channels(6, 8) == 1009
+    assert peak < 4 * 2 ** 20  # 1009 fields would hold 63 MiB
 
 
 def test_shift_stability():

@@ -36,13 +36,13 @@ from .config import PipelineConfig, load_config
 from .errors import ConfigError, DimensionMismatch, GeoscattError
 from .evalhead import (LogRegConfig, LogRegModel, fit_logreg, format_report,
                        kfold_cv, metrics, write_cv_csv)
-from .fileio import read_fmat, write_feature_csv, write_fmat, write_pgm
-from .gnn import GINParams, TrainConfig, embed_molecules, train_gin
-from .gst import GGSConfig, ggs_features
+from .fileio import read_fmat, write_fmat, write_pgm
+from .gnn import GINParams, embed_molecules, train_gin
+from .gst import ggs_features
 from .ingest import (build_records, dedup_clear_evidence, load_smiles_csv,
                      preprocess, read_manifest, split_dataset, write_manifest)
-from .metagraph import (MetaGraph, SageConfig, SageParams, build_metagraph,
-                        sage_forward, sparsify_topk, train_sage)
+from .metagraph import (MetaGraph, SageParams, build_metagraph, sage_forward,
+                        sparsify_topk, train_sage)
 from .molgraph import MolecularGraph
 from .scatter2d import (chi2_select, morlet_bank, rasterize, scatter2d_channels,
                         scatter_image)
@@ -95,14 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("featurize-gst", help="geometric scattering features")
     common(p)
-    p.add_argument("--format", choices=("fmat", "csv"), default="fmat")
     p.set_defaults(handler=cmd_featurize_gst)
 
     p = sub.add_parser("featurize-2d", help="2D image scattering features")
     common(p)
     p.add_argument("--k-select", type=int, default=None,
                    help="chi2-select this many columns (fit on train rows)")
-    p.add_argument("--format", choices=("fmat", "csv"), default="fmat")
     p.add_argument("--dump-images", action="store_true",
                    help="also write the rendered molecules as PGM files")
     p.set_defaults(handler=cmd_featurize_2d)
@@ -251,10 +249,8 @@ def read_features(path: Path, n_rows: int) -> np.ndarray:
 
 
 def write_features(wd: Path, stem: str, matrix: np.ndarray,
-                   labels: list[str], fmt: str) -> str:
-    if fmt == "csv":
-        write_feature_csv(wd / f"{stem}.csv", matrix, labels)
-        return f"{stem}.csv"
+                   labels: list[str]) -> str:
+    """``<stem>.fmat`` and its ``<stem>.columns.csv`` labels."""
     write_fmat(wd / f"{stem}.fmat", matrix)
     write_columns(wd / f"{stem}.columns.csv", labels)
     return f"{stem}.fmat"
@@ -302,14 +298,11 @@ def cmd_ingest(args, cfg: PipelineConfig) -> None:
 def cmd_featurize_gst(args, cfg: PipelineConfig) -> None:
     wd = workdir_of(args)
     _, _, _, graphs = load_graphs(wd, args.manifest)
-    gcfg = GGSConfig(diffusion_scales=cfg.gst.diffusion_scales,
-                     diffusion_depth=cfg.gst.diffusion_depth)
-    vectors = [ggs_features(g, gcfg) for g in graphs]
+    vectors = [ggs_features(g, cfg.gst) for g in graphs]
     matrix = np.array([v.values for v in vectors])
-    name = write_features(wd, "ggs", matrix, vectors[0].labels, args.format)
+    name = write_features(wd, "ggs", matrix, vectors[0].labels)
     write_log(wd, args, cfg,
-              [f"molecules={matrix.shape[0]}", f"columns={matrix.shape[1]}",
-               f"format={args.format}"])
+              [f"molecules={matrix.shape[0]}", f"columns={matrix.shape[1]}"])
     print(f"featurize-gst: {matrix.shape[0]} x {matrix.shape[1]} -> {name}")
 
 
@@ -354,7 +347,7 @@ def cmd_featurize_2d(args, cfg: PipelineConfig) -> None:
             for rank, col in enumerate(selected):
                 writer.writerow([rank, int(col)])
 
-    name = write_features(wd, "scat2d", matrix, col_labels, args.format)
+    name = write_features(wd, "scat2d", matrix, col_labels)
     write_log(wd, args, cfg, [
         f"molecules={matrix.shape[0]}", f"columns={matrix.shape[1]}",
         f"image_size={sc.size}", f"scales={sc.j}", f"orientations={sc.l}",
@@ -383,14 +376,11 @@ def cmd_train_gin(args, cfg: PipelineConfig) -> None:
     _, labels, splits, graphs = load_graphs(wd, args.manifest)
     tr, va, _ = train_val_indices(labels, splits, cfg.run.val_fraction,
                                   cfg.run.seed)
-    tcfg = TrainConfig(lr=cfg.gin.lr, epochs=cfg.gin.epochs,
-                       seed=cfg.run.seed, weight_decay=cfg.gin.weight_decay,
-                       patience=cfg.gin.patience, readout=cfg.gin.readout)
     history: list = []
     timings: dict = {}
     params = train_gin([graphs[i] for i in tr], [labels[i] for i in tr],
                        [graphs[i] for i in va], [labels[i] for i in va],
-                       tcfg, history=history, timings=timings)
+                       cfg.gin, cfg.run.seed, history=history, timings=timings)
     params.save(wd / "gin.gprm")
     with open(wd / "gin_curve.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -407,7 +397,7 @@ def cmd_train_gin(args, cfg: PipelineConfig) -> None:
 def cmd_export_embeddings(args, cfg: PipelineConfig) -> None:
     wd = workdir_of(args)
     _, _, _, graphs = load_graphs(wd, args.manifest)
-    params = GINParams.load(wd / "gin.gprm", readout=cfg.gin.readout)
+    params = GINParams.load(wd / "gin.gprm")
     emb = embed_molecules(graphs, params)
     write_fmat(wd / "gin_embeddings.fmat", emb)
     write_columns(wd / "gin_embeddings.columns.csv",
@@ -468,15 +458,10 @@ def load_metagraph(wd: Path) -> tuple[MetaGraph, np.ndarray]:
 def cmd_train_sage(args, cfg: PipelineConfig) -> None:
     wd = workdir_of(args)
     mg, labels = load_metagraph(wd)
-    scfg = SageConfig(in_dim=mg.node_features.shape[1],
-                      hidden=cfg.sage.hidden, embed=cfg.sage.embed,
-                      dropout=cfg.sage.dropout, lr=cfg.sage.lr,
-                      weight_decay=cfg.sage.weight_decay,
-                      epochs=cfg.sage.epochs, patience=cfg.sage.patience,
-                      seed=cfg.run.seed)
     history: list = []
     timings: dict = {}
-    params = train_sage(mg, labels, scfg, history=history, timings=timings)
+    params = train_sage(mg, labels, cfg.sage, cfg.run.seed, history=history,
+                        timings=timings)
     params.save(wd / "sage.gprm")
     with open(wd / "sage_curve.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

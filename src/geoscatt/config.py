@@ -12,12 +12,9 @@ import math
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-
-
-@dataclass
-class GstSection:
-    diffusion_scales: int = 4
-    diffusion_depth: int = 3
+from .gnn import TrainConfig
+from .gst import GGSConfig
+from .metagraph import SageConfig
 
 
 @dataclass
@@ -29,26 +26,6 @@ class Scatter2dSection:
 
 
 @dataclass
-class GinSection:
-    lr: float = 2e-3
-    epochs: int = 150
-    patience: int = 30
-    weight_decay: float = 0.0
-    readout: str = "sum"
-
-
-@dataclass
-class SageSection:
-    hidden: int = 128
-    embed: int = 64
-    dropout: float = 0.5
-    lr: float = 1e-3
-    weight_decay: float = 1e-5
-    epochs: int = 1000
-    patience: int = 50
-
-
-@dataclass
 class RunSection:
     seed: int = None
     test_fraction: float = 0.2
@@ -57,35 +34,58 @@ class RunSection:
     cv_folds: int = 10
 
 
+# (test, what the value must be)
+_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_FINITE_AT_LEAST_0 = (lambda v: math.isfinite(v) and v >= 0, "finite and >= 0")
+_FRACTION = (lambda v: 0 < v < 1, "in (0, 1)")
+
+# Every setting has one row here, and PipelineConfig.validate applies them
+# all, so a bad value ends in error[config] before any stage runs.
+_RULES = {
+    ("gst", "diffusion_scales"): _AT_LEAST_1,
+    ("gst", "diffusion_depth"): _AT_LEAST_0,
+    ("scatter2d", "j"): _AT_LEAST_1,
+    ("scatter2d", "l"): _AT_LEAST_1,
+    ("scatter2d", "size"): (lambda v: v >= 16 and v & (v - 1) == 0,
+                            "a power of two >= 16"),
+    ("scatter2d", "k_select"): _AT_LEAST_0,
+    ("gin", "lr"): _FINITE_AT_LEAST_0,
+    ("gin", "epochs"): _AT_LEAST_1,
+    ("gin", "patience"): _AT_LEAST_0,
+    ("gin", "weight_decay"): _FINITE_AT_LEAST_0,
+    ("sage", "hidden"): _AT_LEAST_1,
+    ("sage", "embed"): _AT_LEAST_1,
+    ("sage", "dropout"): (lambda v: 0 <= v < 1, "in [0, 1)"),
+    ("sage", "lr"): _FINITE_AT_LEAST_0,
+    ("sage", "weight_decay"): _FINITE_AT_LEAST_0,
+    ("sage", "epochs"): _AT_LEAST_1,
+    ("sage", "patience"): _AT_LEAST_0,
+    ("run", "seed"): _AT_LEAST_0,
+    ("run", "test_fraction"): _FRACTION,
+    ("run", "val_fraction"): _FRACTION,
+    ("run", "l2"): _FINITE_AT_LEAST_0,
+    ("run", "cv_folds"): (lambda v: v >= 2, ">= 2"),
+}
+
+
 @dataclass
 class PipelineConfig:
-    gst: GstSection = field(default_factory=GstSection)
+    """The run config: one section per dataclass, the stage configs
+    ``[gst]``, ``[gin]`` and ``[sage]`` owned by their modules."""
+    gst: GGSConfig = field(default_factory=GGSConfig)
     scatter2d: Scatter2dSection = field(default_factory=Scatter2dSection)
-    gin: GinSection = field(default_factory=GinSection)
-    sage: SageSection = field(default_factory=SageSection)
+    gin: TrainConfig = field(default_factory=TrainConfig)
+    sage: SageConfig = field(default_factory=SageConfig)
     run: RunSection = field(default_factory=RunSection)
 
     def validate(self) -> None:
         if self.run.seed is None:
             raise ConfigError("a seed is mandatory: pass --seed or set [run] seed")
-        if not 0 < self.run.test_fraction < 1:
-            raise ConfigError(f"test_fraction {self.run.test_fraction} not in (0,1)")
-        if self.gin.readout not in ("sum", "mean"):
-            raise ConfigError(f"[gin] readout {self.gin.readout!r} is not "
-                              f"'sum' or 'mean'")
-        if not (math.isfinite(self.run.l2) and self.run.l2 >= 0):
-            raise ConfigError(f"[run] l2 {self.run.l2!r} is not finite "
-                              f"and >= 0")
-        if not 0 <= self.sage.dropout < 1:
-            raise ConfigError(f"[sage] dropout {self.sage.dropout!r} "
-                              f"not in [0,1)")
-        for name in ("sage", "gin"):
-            epochs = getattr(self, name).epochs
-            if epochs < 1:
-                raise ConfigError(f"[{name}] epochs {epochs} is not >= 1")
-        if self.scatter2d.k_select < 0:
-            raise ConfigError(f"[scatter2d] k_select {self.scatter2d.k_select} "
-                              f"is not >= 0")
+        for (section, key), (ok, rule) in _RULES.items():
+            value = getattr(getattr(self, section), key)
+            if not ok(value):
+                raise ConfigError(f"[{section}] {key} {value!r} is not {rule}")
 
     def digest(self) -> str:
         parts = []
@@ -97,15 +97,6 @@ class PipelineConfig:
         return hashlib.sha256("\n".join(sorted(parts)).encode()).hexdigest()[:16]
 
 
-_SECTIONS = {
-    "gst": GstSection,
-    "scatter2d": Scatter2dSection,
-    "gin": GinSection,
-    "sage": SageSection,
-    "run": RunSection,
-}
-
-
 def load_config(path=None) -> PipelineConfig:
     cfg = PipelineConfig()
     if path is None:
@@ -114,10 +105,11 @@ def load_config(path=None) -> PipelineConfig:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file {path} not found or unreadable")
+    sections = {f.name for f in fields(cfg)}
     for section_name, row in parser.items():
         if section_name == "DEFAULT":
             continue
-        if section_name not in _SECTIONS:
+        if section_name not in sections:
             raise ConfigError(f"unknown config section [{section_name}]")
         target = getattr(cfg, section_name)
         known = {f.name: f for f in fields(target)}

@@ -6,14 +6,10 @@ GPRM  model parameters: magic ``GPRM``, version u8, tensor count u32, then
       per tensor ndim u8, each dim u32, float64 payload; tensor order is
       fixed by the owning model's ``tensor_list``.
 PGM   binary ``P5`` grayscale, maxval 255, pixel = round(value * 255).
-
-Feature CSVs carry one header row of column labels and ``%.17g`` floats so
-a write/read round trip is bit-exact.
 """
 
 from __future__ import annotations
 
-import csv
 import struct
 
 import numpy as np
@@ -117,22 +113,3 @@ def read_pgm(path) -> np.ndarray:
         raise FormatError(f"{path}: truncated raster")
     return np.frombuffer(raster, dtype=np.uint8).reshape(height, width) / 255.0
 
-
-def write_feature_csv(path, matrix: np.ndarray, labels: list[str]) -> None:
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.shape[1] != len(labels):
-        raise FormatError(
-            f"{matrix.shape[1]} columns vs {len(labels)} labels")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(labels)
-        for row in matrix:
-            writer.writerow([f"{x:.17g}" for x in row])
-
-
-def read_feature_csv(path) -> tuple[np.ndarray, list[str]]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        labels = next(reader)
-        rows = [[float(x) for x in row] for row in reader]
-    return np.array(rows), labels

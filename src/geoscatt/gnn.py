@@ -2,9 +2,9 @@
 
 Fixed architecture: three message-passing layers, each updating node states
 as MLP(h_v + sum of neighbor states) (GIN-0) with a two-affine MLP and
-ReLU between (7->64->64, then 64->64->64 twice), sum or mean readout over
-nodes, two post-pooling affine maps 64->128->128 with ReLU between, and a
-128->2 classifier head. All gradients are hand-derived; ``grad_check``
+ReLU between (7->64->64, then 64->64->64 twice), sum readout over nodes,
+two post-pooling affine maps 64->128->128 with ReLU between, and a 128->2
+classifier head. All gradients are hand-derived; ``grad_check``
 verifies them against central finite differences, perturbing a chunk of
 entries per batched forward pass.
 """
@@ -37,7 +37,6 @@ class GINParams:
     layers: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
     pool_proj: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     head: tuple[np.ndarray, np.ndarray]
-    readout: str = "sum"  # sum | mean
 
     def tensors(self) -> list[np.ndarray]:
         out = []
@@ -49,17 +48,17 @@ class GINParams:
 
     def copy(self) -> "GINParams":
         ts = [t.copy() for t in self.tensors()]
-        return _params_from_tensors(ts, self.readout)
+        return _params_from_tensors(ts)
 
     def save(self, path) -> None:
         write_tensors(path, self.tensors())
 
     @classmethod
-    def load(cls, path, readout="sum") -> "GINParams":
-        return _params_from_tensors(read_tensors(path), readout)
+    def load(cls, path) -> "GINParams":
+        return _params_from_tensors(read_tensors(path))
 
 
-def init_gin(seed: int, scale: float = 0.05, readout: str = "sum") -> GINParams:
+def init_gin(seed: int, scale: float = 0.05) -> GINParams:
     """Random initialization, deterministic per seed.
 
     The default std is deliberately small: node features are raw physical
@@ -80,15 +79,15 @@ def init_gin(seed: int, scale: float = 0.05, readout: str = "sum") -> GINParams:
     p2, c2 = affine(POOL_DIMS[1], POOL_DIMS[2])
     head_w, head_b = affine(EMBED_DIM, N_CLASSES)
     return GINParams(layers=layers, pool_proj=(p1, c1, p2, c2),
-                     head=(head_w, head_b), readout=readout)
+                     head=(head_w, head_b))
 
 
-def _params_from_tensors(ts, readout) -> GINParams:
+def _params_from_tensors(ts) -> GINParams:
     if len(ts) != N_TENSORS:
         raise ShapeMismatch(f"expected {N_TENSORS} tensors, got {len(ts)}")
     layers = [tuple(ts[4 * k:4 * k + 4]) for k in range(3)]
     return GINParams(layers=layers, pool_proj=tuple(ts[12:16]),
-                     head=tuple(ts[16:18]), readout=readout)
+                     head=tuple(ts[16:18]))
 
 
 @dataclass
@@ -120,10 +119,7 @@ def _forward(g: MolecularGraph, p: GINParams) -> _Forward:
         h = np.maximum(z1, 0.0) @ w2 + b2
         states.append(h)
 
-    if p.readout == "mean":
-        pooled = h.mean(axis=-2)
-    else:
-        pooled = h.sum(axis=-2)
+    pooled = h.sum(axis=-2)
     p1, c1, p2, c2 = p.pool_proj
     z_pool = pooled @ p1 + c1
     embedding = np.maximum(z_pool, 0.0) @ p2 + c2
@@ -157,7 +153,6 @@ def _backward(g: MolecularGraph, p: GINParams, fw: _Forward,
               label: int) -> list[np.ndarray]:
     """Gradient of the cross-entropy loss w.r.t. every tensor."""
     A = g.adjacency()
-    n = g.n_atoms
 
     probs = softmax(fw.logits)
     dlogits = probs.copy()
@@ -178,10 +173,7 @@ def _backward(g: MolecularGraph, p: GINParams, fw: _Forward,
     d_c1 = d_z_pool
     d_pooled = p1 @ d_z_pool
 
-    if p.readout == "mean":
-        dh = np.tile(d_pooled / n, (n, 1))
-    else:
-        dh = np.tile(d_pooled, (n, 1))
+    dh = np.tile(d_pooled, (g.n_atoms, 1))
 
     layer_grads = []
     for k in (2, 1, 0):
@@ -216,18 +208,11 @@ def loss_and_grads(g: MolecularGraph, p: GINParams,
 
 @dataclass
 class TrainConfig:
-    lr: float = 1e-3
-    epochs: int = 200
-    seed: int = 0
+    """The ``[gin]`` section of the run config."""
+    lr: float = 2e-3
+    epochs: int = 150
+    patience: int = 30
     weight_decay: float = 0.0
-    patience: int = 50
-    readout: str = "sum"         # sum | mean, as in GINParams
-
-    def __post_init__(self):
-        if self.lr < 0:
-            raise ShapeMismatch(f"learning rate must be >= 0, got {self.lr}")
-        if self.epochs < 1:
-            raise ShapeMismatch(f"epochs must be >= 1, got {self.epochs}")
 
 
 def dataset_loss(graphs: list[MolecularGraph], labels: list[int],
@@ -240,10 +225,10 @@ def dataset_loss(graphs: list[MolecularGraph], labels: list[int],
 
 def train_gin(train: list[MolecularGraph], train_labels: list[int],
               val: list[MolecularGraph], val_labels: list[int],
-              cfg: TrainConfig, history: list | None = None,
+              cfg: TrainConfig, seed: int, history: list | None = None,
               timings: dict | None = None) -> GINParams:
-    """Full-batch Adam on mean cross-entropy; returns the best-validation
-    checkpoint.
+    """Full-batch Adam on mean cross-entropy from ``init_gin(seed)``;
+    returns the best-validation checkpoint.
 
     ``timings``, when given, receives ``epoch_s``: per epoch, the seconds
     of the training step and of both dataset losses.
@@ -253,7 +238,7 @@ def train_gin(train: list[MolecularGraph], train_labels: list[int],
     if len(set(train_labels)) < 2:
         raise DegenerateLabels("training labels are single-class")
 
-    params = init_gin(cfg.seed, readout=cfg.readout)
+    params = init_gin(seed)
     tensors = params.tensors()
     opt = Adam(tensors, lr=cfg.lr, weight_decay=cfg.weight_decay)
 
@@ -316,7 +301,7 @@ def grad_check(p: GINParams, g: MolecularGraph, label: int,
         node_bias = ti < 12 and stack.ndim == 2
         ts = list(tensors)
         ts[ti] = stack[:, None, None] if node_bias else stack[:, None]
-        fw = _forward(g, _params_from_tensors(ts, p.readout))
+        fw = _forward(g, _params_from_tensors(ts))
         relu = (fw.relu_inputs + [fw.pool_relu_input])[ti // 4:]
         return cross_entropy(fw.logits, label)[:, 0], [
             np.broadcast_to(z, (len(stack), 1) + zb.shape)

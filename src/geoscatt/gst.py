@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidScaleParams
 from .graphcore import walk_operator
-from .molgraph import MolecularGraph
+from .molgraph import N_NODE_FEATURES, MolecularGraph
 
 HANN_VARIANTS = ("paper-exact", "standard-hann")
 
@@ -42,14 +42,14 @@ class FilterBank:
 
 @dataclass
 class GGSConfig:
+    """The ``[gst]`` section of the run config."""
     diffusion_scales: int = 4
     diffusion_depth: int = 3
-    n_features: int = 7
 
     def total_dim(self) -> int:
         diff = sum(self.diffusion_scales ** m
                    for m in range(1, self.diffusion_depth + 1))
-        return self.n_features * (1 + diff)
+        return N_NODE_FEATURES * (1 + diff)
 
 
 @dataclass
@@ -178,15 +178,15 @@ def ggs_features(g: MolecularGraph, cfg: GGSConfig | None = None) -> GGSVector:
     """Full geometric-scattering vector for one preprocessed molecule."""
     cfg = cfg if cfg is not None else GGSConfig()
     X = g.node_features
-    if X.shape[1] != cfg.n_features:
+    if X.shape[1] != N_NODE_FEATURES:
         raise DimensionMismatch(
-            f"expected {cfg.n_features} node features, got {X.shape[1]}")
+            f"expected {N_NODE_FEATURES} node features, got {X.shape[1]}")
 
     bank = diffusion_filters(walk_operator(g.adjacency()), cfg.diffusion_scales)
     coeffs = scatter_graph(X, bank, cfg.diffusion_depth)
     vec = GGSVector(values=np.concatenate([coeff for _, coeff in coeffs]),
                     labels=ggs_labels(cfg.diffusion_scales, cfg.diffusion_depth,
-                                      cfg.n_features))
+                                      N_NODE_FEATURES))
     if len(vec.values) != cfg.total_dim():
         raise DimensionMismatch(
             f"assembled {len(vec.values)} values, expected {cfg.total_dim()}")

@@ -32,6 +32,8 @@ from .errors import DegenerateLabels, ShapeMismatch, ZeroVariance
 from .fileio import read_tensors, write_tensors
 from .optim import Adam, check_gradients
 
+N_CLASSES = 2
+
 
 @dataclass
 class MetaGraph:
@@ -104,16 +106,14 @@ def sparsify_topk(mg: MetaGraph, k: int) -> MetaGraph:
 
 @dataclass
 class SageConfig:
-    in_dim: int = 595
+    """The ``[sage]`` section of the run config."""
     hidden: int = 128
     embed: int = 64
-    n_classes: int = 2
     dropout: float = 0.5
     lr: float = 1e-3
     weight_decay: float = 1e-5
     epochs: int = 1000
     patience: int = 50
-    seed: int = 0
 
 
 @dataclass
@@ -122,35 +122,34 @@ class SageParams:
     b1: np.ndarray
     w2: np.ndarray   # (2*hidden, embed)
     b2: np.ndarray
-    wc: np.ndarray   # (embed, n_classes)
+    wc: np.ndarray   # (embed, N_CLASSES)
     bc: np.ndarray
-    dropout: float = 0.5
 
     def tensors(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2, self.wc, self.bc]
 
     def copy(self) -> "SageParams":
-        return SageParams(*[t.copy() for t in self.tensors()], dropout=self.dropout)
+        return SageParams(*[t.copy() for t in self.tensors()])
 
     def save(self, path) -> None:
         write_tensors(path, self.tensors())
 
     @classmethod
-    def load(cls, path, dropout: float = 0.5) -> "SageParams":
-        return cls(*read_tensors(path), dropout=dropout)
+    def load(cls, path) -> "SageParams":
+        return cls(*read_tensors(path))
 
 
-def init_sage(cfg: SageConfig) -> SageParams:
-    rng = np.random.default_rng(cfg.seed)
+def init_sage(cfg: SageConfig, in_dim: int, seed: int) -> SageParams:
+    rng = np.random.default_rng(seed)
 
     def affine(n_in, n_out):
         std = np.sqrt(2.0 / n_in)
         return rng.normal(0.0, std, (n_in, n_out)), np.zeros(n_out)
 
-    w1, b1 = affine(2 * cfg.in_dim, cfg.hidden)
+    w1, b1 = affine(2 * in_dim, cfg.hidden)
     w2, b2 = affine(2 * cfg.hidden, cfg.embed)
-    wc, bc = affine(cfg.embed, cfg.n_classes)
-    return SageParams(w1, b1, w2, b2, wc, bc, dropout=cfg.dropout)
+    wc, bc = affine(cfg.embed, N_CLASSES)
+    return SageParams(w1, b1, w2, b2, wc, bc)
 
 
 @dataclass
@@ -184,12 +183,14 @@ def _graph_terms(mg: MetaGraph) -> _GraphTerms:
 
 
 def _sage_forward_full(mg: MetaGraph, p: SageParams, terms: _GraphTerms,
-                       dropout_active: bool, rng: np.random.Generator | None,
+                       dropout: float = 0.0,
+                       rng: np.random.Generator | None = None,
                        z1: np.ndarray | None = None) -> _SageForward:
     """Forward pass; a tensor with a leading batch axis evaluates a stack.
 
-    ``z1`` is layer 1's pre-activation when the caller already holds it at
-    these parameters; dropout acts after it, so it serves either mode.
+    A positive ``dropout`` draws its mask from ``rng``. ``z1`` is layer 1's
+    pre-activation when the caller already holds it at these parameters;
+    dropout acts after it, so it serves either mode.
     """
     if terms.x0.shape[1] != p.w1.shape[-2]:
         raise ShapeMismatch(
@@ -201,9 +202,9 @@ def _sage_forward_full(mg: MetaGraph, p: SageParams, terms: _GraphTerms,
     r1 = np.maximum(z1, 0.0)
 
     drop_scale = None
-    if dropout_active and p.dropout > 0:
-        keep = (rng.random(r1.shape) >= p.dropout)
-        drop_scale = keep / (1.0 - p.dropout)
+    if dropout > 0:
+        keep = (rng.random(r1.shape) >= dropout)
+        drop_scale = keep / (1.0 - dropout)
         dropped = r1 * drop_scale
     else:
         dropped = r1
@@ -216,12 +217,9 @@ def _sage_forward_full(mg: MetaGraph, p: SageParams, terms: _GraphTerms,
                         logits=logits)
 
 
-def sage_forward(mg: MetaGraph, p: SageParams, dropout_active: bool = False,
-                 seed: int = 0) -> np.ndarray:
-    """Logits (n x n_classes) for every meta-graph node."""
-    rng = np.random.default_rng(seed) if dropout_active else None
-    return _sage_forward_full(mg, p, _graph_terms(mg), dropout_active,
-                              rng).logits
+def sage_forward(mg: MetaGraph, p: SageParams) -> np.ndarray:
+    """Logits (n x N_CLASSES) for every meta-graph node, dropout off."""
+    return _sage_forward_full(mg, p, _graph_terms(mg)).logits
 
 
 def masked_cross_entropy(logits: np.ndarray, labels: np.ndarray,
@@ -269,7 +267,7 @@ def _sage_backward(mg: MetaGraph, p: SageParams, terms: _GraphTerms,
 
 
 def sage_loss_and_grads(mg: MetaGraph, p: SageParams, labels: np.ndarray,
-                        mask: np.ndarray, dropout_active: bool = False,
+                        mask: np.ndarray, dropout: float = 0.0,
                         rng: np.random.Generator | None = None,
                         terms: _GraphTerms | None = None,
                         z1: np.ndarray | None = None,
@@ -279,15 +277,18 @@ def sage_loss_and_grads(mg: MetaGraph, p: SageParams, labels: np.ndarray,
     layer 1's pre-activation at ``p`` when the caller holds it."""
     if terms is None:
         terms = _graph_terms(mg)
-    fw = _sage_forward_full(mg, p, terms, dropout_active, rng, z1)
+    fw = _sage_forward_full(mg, p, terms, dropout, rng, z1)
     loss = masked_cross_entropy(fw.logits, labels, mask)
     return loss, _sage_backward(mg, p, terms, fw, labels, mask)
 
 
 def train_sage(mg: MetaGraph, labels: np.ndarray, cfg: SageConfig,
-               history: list | None = None,
+               seed: int, history: list | None = None,
                timings: dict | None = None) -> SageParams:
     """Transductive training with early stopping on validation loss.
+
+    ``seed`` draws the initial parameters and the dropout masks; layer 1's
+    width follows the node features.
 
     Layer 1's input ``[H, rownorm(W) H]`` and the row-sum guard depend on
     no parameter, so they are built once, before the first epoch, and
@@ -306,10 +307,10 @@ def train_sage(mg: MetaGraph, labels: np.ndarray, cfg: SageConfig,
     if len(np.unique(labels[mg.train_mask])) < 2:
         raise DegenerateLabels("training mask covers a single class")
 
-    params = init_sage(cfg)
+    params = init_sage(cfg, mg.node_features.shape[1], seed)
     tensors = params.tensors()
     opt = Adam(tensors, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
 
     start = time.perf_counter()
     terms = _graph_terms(mg)
@@ -323,11 +324,10 @@ def train_sage(mg: MetaGraph, labels: np.ndarray, cfg: SageConfig,
     for epoch in range(cfg.epochs):
         start = time.perf_counter()
         _, grads = sage_loss_and_grads(mg, params, labels, mg.train_mask,
-                                       dropout_active=True, rng=rng,
-                                       terms=terms, z1=z1)
+                                       cfg.dropout, rng, terms, z1)
         opt.step(tensors, grads)
 
-        fw = _sage_forward_full(mg, params, terms, False, None)
+        fw = _sage_forward_full(mg, params, terms)
         z1 = fw.z1
         train_loss = masked_cross_entropy(fw.logits, labels, mg.train_mask)
         val_loss = masked_cross_entropy(fw.logits, labels, mg.val_mask)
@@ -357,7 +357,7 @@ def sage_grad_check(mg: MetaGraph, p: SageParams, labels: np.ndarray,
     zero; otherwise, when one flips sign across +-h.
     """
     terms = _graph_terms(mg)
-    base = _sage_forward_full(mg, p, terms, False, None)
+    base = _sage_forward_full(mg, p, terms)
     base_near_kink = bool(np.any(np.abs(base.z1) < 1e-8))
     tensors = p.tensors()
 
@@ -365,7 +365,7 @@ def sage_grad_check(mg: MetaGraph, p: SageParams, labels: np.ndarray,
         ts = list(tensors)
         # every bias is per node and needs a node axis to broadcast over
         ts[ti] = stack[:, None] if stack.ndim == 2 else stack
-        fw = _sage_forward_full(mg, SageParams(*ts), terms, False, None)
+        fw = _sage_forward_full(mg, SageParams(*ts), terms)
         return (masked_cross_entropy(fw.logits, labels, mask),
                 [np.broadcast_to(fw.z1, (len(stack),) + base.z1.shape)])
 

@@ -122,7 +122,7 @@ def test_criterion_4_gradient_suite():
         mask = rng.random(n) < 0.7
         if not mask.any():
             mask[0] = True
-        p = init_sage(SageConfig(in_dim=7, hidden=9, embed=5, seed=300 + i))
+        p = init_sage(SageConfig(hidden=9, embed=5), 7, 300 + i)
         err = sage_grad_check(mg, p, labels, mask)
         worst = max(worst, err)
 
@@ -266,11 +266,11 @@ def test_criterion_8_desk_scale_trend():
         val_take = max(2, len(train_idx) // 10)
         val_idx = train_idx[:val_take]
         fit_idx = train_idx[val_take:]
-        cfg = TrainConfig(lr=2e-3, epochs=60, seed=fold, patience=15)
+        cfg = TrainConfig(lr=2e-3, epochs=60, patience=15)
         params = train_gin([graphs[i] for i in fit_idx],
                            [int(y[i]) for i in fit_idx],
                            [graphs[i] for i in val_idx],
-                           [int(y[i]) for i in val_idx], cfg)
+                           [int(y[i]) for i in val_idx], cfg, fold)
         emb = embed_molecules(graphs, params)
         stacked = np.hstack([ggs, emb])
         model = fit_logreg(stacked[~hold], y[~hold], l2=1e-3)

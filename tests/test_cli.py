@@ -319,7 +319,7 @@ def test_featurize_2d_needs_no_eigensolver(tmp_path, monkeypatch):
     assert read_fmat(wd / "scat2d.fmat").shape == (12, 10)
 
 
-def test_featurize_csv_format_and_image_dump(tmp_path, monkeypatch):
+def test_featurize_2d_image_dump(tmp_path, monkeypatch):
     config = tmp_path / "run.ini"
     config.write_text("[scatter2d]\nj = 3\nl = 2\nsize = 16\n")
     small = tmp_path / "small.csv"
@@ -327,12 +327,6 @@ def test_featurize_csv_format_and_image_dump(tmp_path, monkeypatch):
     wd = tmp_path / "wd"
     assert main(["ingest", "--input", str(small), "--workdir", str(wd),
                  "--seed", "5"]) == 0
-    assert main(["featurize-gst", "--workdir", str(wd), "--seed", "5",
-                 "--format", "csv"]) == 0
-    from geoscatt.fileio import read_feature_csv
-    matrix, labels = read_feature_csv(wd / "ggs.csv")
-    assert matrix.shape == (12, 595)
-    assert labels[0] == "hann.m0.f0"
     calls = []
 
     def counted(g, size):
@@ -392,30 +386,11 @@ def test_feature_rows_checked_against_manifest(tmp_path, dataset_csv, capsys,
     assert "10 rows, manifest has 60" in err
 
 
-def test_train_gin_honours_readout(tmp_path):
-    data = tmp_path / "mols.csv"
-    write_csv(data, generate(60, seed=108))
-    wd = tmp_path / "wd"
-    assert main(["ingest", "--input", str(data), "--workdir", str(wd),
-                 "--seed", "3"]) == 0
-    digests = {}
-    for readout in ("default", "sum", "mean"):
-        argv = ["train-gin", "--workdir", str(wd), "--seed", "3",
-                "--epochs", "3"]
-        if readout != "default":
-            config = tmp_path / f"{readout}.ini"
-            config.write_text(f"[gin]\nreadout = {readout}\n")
-            argv += ["--config", str(config)]
-        assert main(argv) == 0
-        digests[readout] = digest(wd / "gin.gprm")
-    assert digests["default"] == digests["sum"]
-    assert digests["mean"] != digests["sum"]
-
-
 def test_removed_hann_keys_are_unknown(tmp_path, dataset_csv, capsys):
     config = tmp_path / "cfg.ini"
     for section, key, value in (("gst", "hann_variant", "standard-hann"),
-                                ("run", "threads", "2")):
+                                ("run", "threads", "2"),
+                                ("gin", "readout", "sum")):
         config.write_text(f"[{section}]\n{key} = {value}\n")
         rc = main(["featurize-gst", "--workdir", str(tmp_path / "wd"),
                    "--seed", "1", "--config", str(config)])
@@ -464,15 +439,6 @@ def test_manifest_key_missing_from_records(tmp_path, dataset_csv, capsys):
     assert records[1].split(",")[0] in err
 
 
-def test_unknown_readout_rejected(tmp_path, capsys):
-    config = tmp_path / "cfg.ini"
-    config.write_text("[gin]\nreadout = max\n")
-    rc = main(["train-gin", "--workdir", str(tmp_path / "wd"), "--seed", "1",
-               "--config", str(config)])
-    assert rc == 2
-    assert "error[config]" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command,flags,ini,named", [
     ("fit-head", ["--features", "ggs.fmat", "--l2", "-1"], None, "l2 -1.0"),
     ("fit-head", ["--features", "ggs.fmat"], "[run]\nl2 = nan\n", "l2 nan"),
@@ -482,9 +448,34 @@ def test_unknown_readout_rejected(tmp_path, capsys):
     ("featurize-2d", ["--k-select", "-3"], None, "[scatter2d] k_select -3"),
     ("featurize-2d", ["--threads", "0"], None, "--threads 0"),
     ("featurize-2d", ["--threads", "-1"], None, "--threads -1"),
+    ("train-gin", [], "[gin]\nlr = -1\n", "[gin] lr -1.0"),
+    ("train-gin", [], "[gin]\nlr = nan\n", "[gin] lr nan"),
+    ("train-sage", [], "[sage]\nlr = -1\n", "[sage] lr -1.0"),
+    ("train-sage", [], "[sage]\nhidden = 0\n", "[sage] hidden 0"),
+    ("train-sage", [], "[sage]\nembed = 0\n", "[sage] embed 0"),
+    ("train-gin", [], "[gin]\npatience = -1\n", "[gin] patience -1"),
+    ("train-sage", [], "[sage]\npatience = -1\n", "[sage] patience -1"),
+    ("train-gin", [], "[gin]\nweight_decay = -1\n", "[gin] weight_decay -1.0"),
+    ("train-sage", [], "[sage]\nweight_decay = -1\n",
+     "[sage] weight_decay -1.0"),
+    ("train-gin", [], "[run]\nval_fraction = -1\n", "[run] val_fraction -1.0"),
+    ("train-gin", [], "[run]\nval_fraction = 1\n", "[run] val_fraction 1.0"),
+    ("ingest", ["--input", "x.csv", "--test-fraction", "1"], None,
+     "[run] test_fraction 1.0"),
+    ("train-gin", ["--seed", "-1"], None, "[run] seed -1"),
+    ("cv", ["--features", "ggs.fmat", "--k", "1"], None, "[run] cv_folds 1"),
+    ("featurize-gst", [], "[gst]\ndiffusion_scales = 0\n",
+     "[gst] diffusion_scales 0"),
+    ("featurize-2d", [], "[scatter2d]\nsize = 48\n", "[scatter2d] size 48"),
 ], ids=["l2-negative", "l2-nan", "dropout-one", "sage-epochs-zero",
         "gin-epochs-zero", "k-select-negative", "threads-zero",
-        "threads-negative"])
+        "threads-negative", "gin-lr-negative", "gin-lr-nan",
+        "sage-lr-negative", "sage-hidden-zero", "sage-embed-zero",
+        "gin-patience-negative", "sage-patience-negative",
+        "gin-weight-decay-negative", "sage-weight-decay-negative",
+        "val-fraction-negative", "val-fraction-one", "test-fraction-one",
+        "seed-negative", "cv-folds-one", "diffusion-scales-zero",
+        "size-not-power-of-two"])
 def test_training_knobs_validated(tmp_path, capsys, command, flags, ini, named):
     wd = tmp_path / "wd"
     argv = [command, "--workdir", str(wd), "--seed", "1"] + flags

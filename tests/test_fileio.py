@@ -3,11 +3,9 @@ import pytest
 
 from geoscatt.errors import FormatError
 from geoscatt.fileio import (
-    read_feature_csv,
     read_fmat,
     read_pgm,
     read_tensors,
-    write_feature_csv,
     write_fmat,
     write_pgm,
     write_tensors,
@@ -74,13 +72,3 @@ def test_pgm_roundtrip(tmp_path):
     assert np.max(np.abs(back - img)) < 1e-12  # grid-aligned values survive
     assert path.read_bytes().startswith(b"P5\n32 16\n255\n")
 
-
-def test_feature_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    m = rng.standard_normal((5, 3))
-    labels = ["a.b", "c.d", "e.f"]
-    path = tmp_path / "f.csv"
-    write_feature_csv(path, m, labels)
-    back, back_labels = read_feature_csv(path)
-    assert back_labels == labels
-    assert np.array_equal(back, m)  # %.17g round-trips doubles exactly

@@ -127,7 +127,7 @@ def test_grad_check_rejects_a_wrong_entry(monkeypatch):
 def test_all_zero_parameters_stay_finite():
     g = preprocess(parse_smiles("CCO"))
     zeros = [np.zeros_like(t) for t in init_gin(0).tensors()]
-    p = _params_from_tensors(zeros, "sum")
+    p = _params_from_tensors(zeros)
     emb, logits = gin_forward(g, p)
     assert np.all(np.isfinite(emb)) and np.all(np.isfinite(logits))
     assert np.isfinite(grad_check(p, g, 0))
@@ -146,18 +146,18 @@ def toy_dataset():
 
 def test_training_fits_separable_toy_data():
     graphs, labels = toy_dataset()
-    cfg = TrainConfig(lr=2e-3, epochs=200, seed=1, patience=200)
+    cfg = TrainConfig(lr=2e-3, epochs=200, patience=200)
     history = []
-    params = train_gin(graphs, labels, graphs, labels, cfg, history=history)
+    params = train_gin(graphs, labels, graphs, labels, cfg, 1, history=history)
     final_train = min(h[1] for h in history)
     assert final_train < 0.1
 
 
 def test_training_determinism_bitwise(tmp_path):
     graphs, labels = toy_dataset()
-    cfg = TrainConfig(lr=1e-2, epochs=15, seed=9)
-    a = train_gin(graphs, labels, graphs[:4], labels[:4], cfg)
-    b = train_gin(graphs, labels, graphs[:4], labels[:4], cfg)
+    cfg = TrainConfig(lr=1e-2, epochs=15)
+    a = train_gin(graphs, labels, graphs[:4], labels[:4], cfg, 9)
+    b = train_gin(graphs, labels, graphs[:4], labels[:4], cfg, 9)
     pa, pb = tmp_path / "a.gprm", tmp_path / "b.gprm"
     a.save(pa)
     b.save(pb)
@@ -166,8 +166,8 @@ def test_training_determinism_bitwise(tmp_path):
 
 def test_zero_learning_rate_freezes_parameters():
     graphs, labels = toy_dataset()
-    cfg = TrainConfig(lr=0.0, epochs=5, seed=2)
-    trained = train_gin(graphs, labels, graphs[:4], labels[:4], cfg)
+    cfg = TrainConfig(lr=0.0, epochs=5)
+    trained = train_gin(graphs, labels, graphs[:4], labels[:4], cfg, 2)
     init = init_gin(2)
     for a, b in zip(trained.tensors(), init.tensors()):
         assert np.array_equal(a, b)
@@ -177,7 +177,7 @@ def test_single_class_training_rejected():
     graphs, _ = toy_dataset()
     with pytest.raises(DegenerateLabels):
         train_gin(graphs, [1] * len(graphs), graphs[:2], [1, 1],
-                  TrainConfig(epochs=1))
+                  TrainConfig(epochs=1), 0)
 
 
 def test_weight_decay_shrinks_parameters_without_data_gradient():

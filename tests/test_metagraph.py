@@ -109,7 +109,7 @@ def test_identical_nodes_get_identical_logits():
     S = rng.standard_normal((5, 6))
     S[3] = S[0]
     mg = build_metagraph(S)
-    p = init_sage(SageConfig(in_dim=6, hidden=8, embed=4, seed=0))
+    p = init_sage(SageConfig(hidden=8, embed=4), 6, 0)
     logits = sage_forward(mg, p)
     assert np.allclose(logits[0], logits[3], atol=1e-12)
 
@@ -117,16 +117,16 @@ def test_identical_nodes_get_identical_logits():
 def test_forward_deterministic_without_dropout():
     rng = np.random.default_rng(7)
     mg = build_metagraph(rng.standard_normal((8, 5)))
-    p = init_sage(SageConfig(in_dim=5, hidden=8, embed=4, seed=1))
-    a = sage_forward(mg, p, dropout_active=False)
-    b = sage_forward(mg, p, dropout_active=False)
+    p = init_sage(SageConfig(hidden=8, embed=4), 5, 1)
+    a = sage_forward(mg, p)
+    b = sage_forward(mg, p)
     assert np.array_equal(a, b)
 
 
 def test_relabeling_permutes_logits_rows():
     rng = np.random.default_rng(8)
     S = rng.standard_normal((9, 5))
-    p = init_sage(SageConfig(in_dim=5, hidden=8, embed=4, seed=2))
+    p = init_sage(SageConfig(hidden=8, embed=4), 5, 2)
     base = sage_forward(build_metagraph(S), p)
     perm = rng.permutation(9)
     permuted = sage_forward(build_metagraph(S[perm]), p)
@@ -138,7 +138,7 @@ def test_sage_gradients_match_finite_differences():
     mg = build_metagraph(rng.standard_normal((8, 6)))
     labels = rng.integers(0, 2, 8)
     mask = np.array([True] * 5 + [False] * 3)
-    p = init_sage(SageConfig(in_dim=6, hidden=10, embed=5, seed=3))
+    p = init_sage(SageConfig(hidden=10, embed=5), 6, 3)
     assert sage_grad_check(mg, p, labels, mask) < 1e-6
 
 
@@ -147,7 +147,7 @@ def test_grad_check_rejects_a_wrong_entry(monkeypatch):
     mg = build_metagraph(rng.standard_normal((8, 6)))
     labels = rng.integers(0, 2, 8)
     mask = np.array([True] * 5 + [False] * 3)
-    p = init_sage(SageConfig(in_dim=6, hidden=10, embed=5, seed=3))
+    p = init_sage(SageConfig(hidden=10, embed=5), 6, 3)
     backward = metagraph._sage_backward
     entry = FD_CHUNK + 3  # outside the first chunk of w2
     assert entry < p.w2.size
@@ -181,8 +181,9 @@ def separable_metagraph(seed=10):
 
 def test_training_fits_block_structured_toy():
     mg, y = separable_metagraph()
-    cfg = SageConfig(in_dim=10, hidden=16, embed=8, epochs=300, seed=4)
-    params = train_sage(mg, y, cfg)
+    cfg = SageConfig(hidden=16, embed=8, epochs=300)
+    params = train_sage(mg, y, cfg, 4)
+    assert params.w1.shape == (20, cfg.hidden)  # width read from the features
     logits = sage_forward(mg, params)
     train_acc = (logits.argmax(axis=1) == y)[mg.train_mask].mean()
     assert train_acc == 1.0
@@ -190,9 +191,9 @@ def test_training_fits_block_structured_toy():
 
 def test_training_deterministic_checkpoint():
     mg, y = separable_metagraph()
-    cfg = SageConfig(in_dim=10, hidden=16, embed=8, epochs=60, seed=5)
-    a = train_sage(mg, y, cfg)
-    b = train_sage(mg, y, cfg)
+    cfg = SageConfig(hidden=16, embed=8, epochs=60)
+    a = train_sage(mg, y, cfg, 5)
+    b = train_sage(mg, y, cfg, 5)
     for ta, tb in zip(a.tensors(), b.tensors()):
         assert np.array_equal(ta, tb)
 
@@ -203,10 +204,9 @@ def test_patience_zero_returns_best_prefix_checkpoint():
     y = y.copy()
     val_rows = np.flatnonzero(mg.val_mask)
     y[val_rows] = 1 - y[val_rows]
-    cfg = SageConfig(in_dim=10, hidden=16, embed=8, epochs=500, seed=6,
-                     patience=0)
+    cfg = SageConfig(hidden=16, embed=8, epochs=500, patience=0)
     history = []
-    params = train_sage(mg, y, cfg, history=history)
+    params = train_sage(mg, y, cfg, 6, history=history)
     val_losses = [h[2] for h in history]
     assert len(val_losses) < 500          # early stop actually fired
     # stops right after the first non-improvement ...
@@ -221,7 +221,7 @@ def test_single_class_mask_rejected():
     mg, y = separable_metagraph()
     bad = np.zeros_like(y)
     with pytest.raises(DegenerateLabels):
-        train_sage(mg, bad, SageConfig(in_dim=10, epochs=1))
+        train_sage(mg, bad, SageConfig(epochs=1), 0)
 
 
 def test_mask_validation():
@@ -233,7 +233,7 @@ def test_mask_validation():
 
 def test_sage_parameter_roundtrip(tmp_path):
     from geoscatt.metagraph import SageParams
-    p = init_sage(SageConfig(in_dim=4, hidden=6, embed=3, seed=12))
+    p = init_sage(SageConfig(hidden=6, embed=3), 4, 12)
     p.save(tmp_path / "sage.gprm")
     q = SageParams.load(tmp_path / "sage.gprm")
     for a, b in zip(p.tensors(), q.tensors()):
@@ -255,12 +255,12 @@ def test_topk_sparsification_keeps_symmetry():
     mask = W > 0
     assert np.array_equal(W[mask], mg.weights[mask])
     # the forward pass still runs on the sparse graph
-    p = init_sage(SageConfig(in_dim=6, hidden=8, embed=4, seed=1))
+    p = init_sage(SageConfig(hidden=8, embed=4), 6, 1)
     logits = sage_forward(sparse, p)
     assert np.all(np.isfinite(logits))
 
 
-def reference_train_sage(mg, labels, cfg):
+def reference_train_sage(mg, labels, cfg, seed):
     """Training as a per-call epoch: every forward rebuilds [H, rownorm(W) H]
     and its row sums, and the eval forward is a separate pass."""
     from geoscatt.metagraph import masked_cross_entropy
@@ -277,8 +277,8 @@ def reference_train_sage(mg, labels, cfg):
         r1 = np.maximum(z1, 0.0)
         scale = None
         dropped = r1
-        if rng is not None and p.dropout > 0:
-            scale = (rng.random(r1.shape) >= p.dropout) / (1.0 - p.dropout)
+        if rng is not None and cfg.dropout > 0:
+            scale = (rng.random(r1.shape) >= cfg.dropout) / (1.0 - cfg.dropout)
             dropped = r1 * scale
         agg1 = neighbor_mean(mg.weights, dropped)
         z2 = np.concatenate([dropped, agg1], axis=-1) @ p.w2 + p.b2
@@ -306,10 +306,10 @@ def reference_train_sage(mg, labels, cfg):
                 np.hstack([dropped, agg1]).T @ d_z2, d_z2.sum(axis=0),
                 z2.T @ dlogits, dlogits.sum(axis=0)]
 
-    params = init_sage(cfg)
+    params = init_sage(cfg, mg.node_features.shape[1], seed)
     tensors = params.tensors()
     opt = Adam(tensors, lr=cfg.lr, weight_decay=cfg.weight_decay)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     best, best_val, stale, history = params.copy(), np.inf, 0, []
     for epoch in range(cfg.epochs):
         opt.step(tensors, grads(params, rng))
@@ -348,11 +348,11 @@ def test_training_matches_per_call_epoch_bit_for_bit(graph, dropout):
     elif graph == "zero-row":
         mg, y = zero_row_metagraph()
     assert graph != "zero-row" or mg.weights.sum(axis=1).min() == 0.0
-    cfg = SageConfig(in_dim=10, hidden=16, embed=8, epochs=60, patience=8,
-                     dropout=dropout, seed=14)
+    cfg = SageConfig(hidden=16, embed=8, epochs=60, patience=8,
+                     dropout=dropout)
     history = []
-    params = train_sage(mg, y, cfg, history=history)
-    ref_params, ref_history = reference_train_sage(mg, y, cfg)
+    params = train_sage(mg, y, cfg, 14, history=history)
+    ref_params, ref_history = reference_train_sage(mg, y, cfg, 14)
     assert history == ref_history
     for got, want in zip(params.tensors(), ref_params.tensors()):
         assert np.array_equal(got, want)
@@ -369,14 +369,14 @@ def test_node_features_aggregated_once_per_graph(monkeypatch):
 
     monkeypatch.setattr(metagraph, "_neighbor_mean", counted)
     history = []
-    train_sage(mg, y, SageConfig(in_dim=10, hidden=16, embed=8, epochs=12,
-                                 seed=15), history=history)
+    train_sage(mg, y, SageConfig(hidden=16, embed=8, epochs=12), 15,
+               history=history)
     assert len(history) == 12
     assert calls.count(True) == 1
     assert len(calls) == 1 + 2 * len(history)
 
     calls.clear()
-    p = init_sage(SageConfig(in_dim=10, hidden=16, embed=8, seed=15))
+    p = init_sage(SageConfig(hidden=16, embed=8), 10, 15)
     sage_forward(mg, p)
     sage_forward(mg, p)
     assert calls == [True, False, True, False]

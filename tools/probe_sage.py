@@ -63,11 +63,10 @@ def main(argv=None) -> dict:
     masks[2][order[n_train + n_val:]] = True
     mg.set_masks(*masks)
 
-    cfg = SageConfig(in_dim=args.features, epochs=args.epochs,
-                     patience=args.epochs, seed=args.seed)
+    cfg = SageConfig(epochs=args.epochs, patience=args.epochs)
     timings: dict = {}
     start = time.perf_counter()
-    train_sage(mg, labels, cfg, timings=timings)
+    train_sage(mg, labels, cfg, args.seed, timings=timings)
     train_s = time.perf_counter() - start
     epoch_s = timings["epoch_s"]
 
